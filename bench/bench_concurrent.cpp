@@ -1,15 +1,8 @@
 // Concurrent server throughput: the paper's echo-array workload served
-// by a server runtime worker pool, with every call's residual plans
-// resolved through the process-wide (sharded) SpecCache.
+// by rpc::EventServerRuntime's worker pool, with every call's residual
+// plans resolved through the process-wide (sharded) SpecCache.
 //
-// Two runtimes share this harness, selected by --runtime:
-//   * threaded — rpc::ServerRuntime: blocking listener threads feeding
-//     a worker pool (PR 1's reference implementation);
-//   * reactor  — rpc::EventServerRuntime: one epoll/poll event loop
-//     multiplexing all sockets, recvmmsg datagram batches, workers only
-//     ever see complete requests.
-//
-// What is measured per runtime:
+// What is measured:
 //   * aggregate calls/sec at 1, 4 and 16 concurrent clients, for a
 //     1-worker and a 4-worker server — the scaling the dispatch loop
 //     buys once specialization is amortized through the cache;
@@ -25,21 +18,15 @@
 //
 // --window N switches clients from closed-loop (one call in flight) to
 // pipelined UDP bursts: each client blasts N generic-path calls, then
-// collects N replies.  That is the workload the recvmmsg receive path
-// and the sendmmsg reply batching pair up on — use it to measure the
-// zero-copy dispatch + reply-batching win on the reactor runtime.
+// collects N replies.  That is the workload the batched receive path
+// and the batched reply flush pair up on — use it to measure the
+// zero-copy dispatch + reply-batching win.
 //
-// --reactors N shards the reactor runtime across N event-loop threads
+// --reactors N shards the runtime across N event-loop threads
 // (SO_REUSEPORT UDP + partitioned TCP conns); compare --reactors 1 vs 4
 // under --window to measure the multi-reactor scaling once one event
 // loop saturates.  Each JSON point records its `reactors` and `backend`
 // so artifacts from different configurations stay distinguishable.
-//
-// --workers-per-shard N pins each reactor shard's worker pool size
-// (default: the worker count splits across shards); --shared-queue
-// collapses the shard-local queues back onto one global queue (the
-// PR 4 shape) so the shard-local-vs-shared dispatch cost is directly
-// A/B-measurable at equal thread counts.
 //
 // --tcp-depth N switches the workload from UDP to pipelined TCP: each
 // client keeps N calls in flight on one connection (1 = classic
@@ -47,9 +34,8 @@
 // overlapping execution under the ordered reply ring buys.
 //
 // Usage: bench_concurrent [--duration-ms N] [--dwell-us N] [--window N]
-//                         [--reactors N] [--workers-per-shard N]
-//                         [--shared-queue] [--tcp-depth N]
-//                         [--runtime threaded|reactor|both] [--json PATH]
+//                         [--reactors N] [--tcp-depth N]
+//                         [--backend auto|epoll|uring] [--json PATH]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -59,7 +45,6 @@
 #include <cstring>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -79,14 +64,11 @@ namespace tempo::bench {
 namespace {
 
 struct Point {
-  std::string runtime;
   int workers = 0;
   int clients = 0;
-  int reactors = 0;     // event-loop shards (1 for the threaded runtime)
-  int workers_per_shard = 0;  // 0 = derived from workers
-  int tcp_depth = 0;          // 0 = UDP workload
-  bool shared_queue = false;
-  std::string backend;  // "threads", "epoll", "poll" or "uring"
+  int reactors = 0;     // event-loop shards
+  int tcp_depth = 0;    // 0 = UDP workload
+  std::string backend;  // "epoll" or "uring"
   // io_uring_enter syscalls across the measurement (0 on other
   // backends) — the bench's "syscalls per burst" evidence.
   std::int64_t uring_enters = 0;
@@ -114,15 +96,10 @@ struct Options {
   int duration_ms = 400;
   int dwell_us = 200;
   int window = 0;  // 0 = closed loop; N>0 = N pipelined calls per burst
-  int reactors = 1;  // reactor-runtime shards
-  int workers_per_shard = 0;  // 0 = derive from the workers total
+  int reactors = 1;  // runtime shards
   int tcp_depth = 0;  // 0 = UDP; N>0 = TCP with N pipelined calls/client
-  bool shared_queue = false;  // reactor A/B: one global queue (PR 4 shape)
   double open_loop = 0.0;  // >0: offered calls/sec across clients (UDP)
-  std::string runtime = "both";  // threaded | reactor | both
-  std::string backend = "auto";  // reactor backend: auto|epoll|poll|uring
-  bool sqpoll = false;           // uring only: IORING_SETUP_SQPOLL
-  bool pin_shards = false;       // pin shard/worker threads to CPUs
+  std::string backend = "auto";  // reactor backend: auto|epoll|uring
   std::string json_path;         // empty = no JSON
 };
 
@@ -130,12 +107,9 @@ constexpr std::uint32_t kArraySize = 100;
 constexpr std::size_t kCacheShards = 8;
 
 // One measurement: `clients` threads in closed loop against a runtime
-// with `workers` workers, all sharing `cache`.  RuntimeT is
-// rpc::ServerRuntime or rpc::EventServerRuntime; both expose the same
-// start/stop/udp_addr surface.
-template <typename RuntimeT, typename ConfigT>
-Point run_point(const char* runtime_name, core::SpecCache& cache,
-                int workers, int clients, const Options& opt) {
+// with `workers` workers, all sharing `cache`.
+Point run_point(core::SpecCache& cache, int workers, int clients,
+                const Options& opt) {
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_proc(), kProg, kVers,
@@ -149,24 +123,18 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
       });
   service.install(reg);
 
-  ConfigT cfg;
+  rpc::EventServerRuntimeConfig cfg;
   cfg.workers = workers;
+  cfg.reactors = opt.reactors;
   cfg.enable_tcp = opt.tcp_depth > 0;
   cfg.enable_udp = opt.tcp_depth == 0;
-  if constexpr (std::is_same_v<ConfigT, rpc::EventServerRuntimeConfig>) {
-    cfg.reactors = opt.reactors;
-    cfg.workers_per_shard = opt.workers_per_shard;
-    cfg.shared_queue = opt.shared_queue;
-    if (opt.tcp_depth > 0) cfg.tcp_pipeline_depth = opt.tcp_depth;
-    if (opt.backend == "epoll") cfg.backend = rpc::EventBackend::kEpoll;
-    if (opt.backend == "poll") cfg.backend = rpc::EventBackend::kPoll;
-    if (opt.backend == "uring") cfg.backend = rpc::EventBackend::kUring;
-    cfg.sqpoll = opt.sqpoll;
-    cfg.pin_shards = opt.pin_shards;
-  }
-  RuntimeT runtime(reg, cfg);
+  if (opt.tcp_depth > 0) cfg.tcp_pipeline_depth = opt.tcp_depth;
+  // "uring" was checked against the kernel probe in main(), so kAuto
+  // selects it here.
+  if (opt.backend == "epoll") cfg.backend = net::ReactorBackend::kEpoll;
+  rpc::EventServerRuntime runtime(reg, cfg);
   if (!runtime.start().is_ok()) {
-    std::fprintf(stderr, "cannot start %s runtime\n", runtime_name);
+    std::fprintf(stderr, "cannot start the server runtime\n");
     std::exit(1);
   }
 
@@ -427,12 +395,8 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
           .count();
   // Read while the runtime is live: stop() tears the shards down and
   // backend() honestly reports "none" afterwards.
-  std::string backend = "threads";
-  std::int64_t uring_enters = 0;
-  if constexpr (std::is_same_v<RuntimeT, rpc::EventServerRuntime>) {
-    backend = runtime.backend();
-    uring_enters = runtime.uring_enter_calls();
-  }
+  const std::string backend = runtime.backend();
+  const std::int64_t uring_enters = runtime.uring_enter_calls();
   // Server-side end-to-end distribution, merged across shards and both
   // transports.  Empty (count 0) when TEMPO_METRICS=0.
   rpc::RuntimeLatencySnapshot lat = runtime.latency_snapshot();
@@ -441,25 +405,17 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   runtime.stop();
 
   if (errors.load() != 0) {
-    std::fprintf(stderr, "client errors at runtime=%s workers=%d clients=%d\n",
-                 runtime_name, workers, clients);
+    std::fprintf(stderr, "client errors at workers=%d clients=%d\n", workers,
+                 clients);
     std::exit(1);
   }
   Point p;
-  p.runtime = runtime_name;
   p.workers = workers;
   p.clients = clients;
   p.tcp_depth = opt.tcp_depth;
-  if constexpr (std::is_same_v<RuntimeT, rpc::EventServerRuntime>) {
-    p.reactors = opt.reactors;
-    p.workers_per_shard = opt.workers_per_shard;
-    p.shared_queue = opt.shared_queue;
-    p.backend = backend;
-    p.uring_enters = uring_enters;
-  } else {
-    p.reactors = 1;
-    p.backend = "threads";
-  }
+  p.reactors = opt.reactors;
+  p.backend = backend;
+  p.uring_enters = uring_enters;
   p.calls_per_sec = static_cast<double>(total_calls.load()) / secs;
   p.lat_count = static_cast<std::int64_t>(e2e.total());
   p.p50_us = static_cast<double>(e2e.p50()) / 1000.0;
@@ -476,61 +432,14 @@ Point run_point(const char* runtime_name, core::SpecCache& cache,
   return p;
 }
 
-struct RuntimeReport {
-  std::vector<Point> points;
-  core::SpecCacheStats cache_stats;
-};
-
-template <typename RuntimeT, typename ConfigT>
-RuntimeReport run_runtime(const char* name, const Options& opt) {
-  core::SpecCache cache(64, kCacheShards);
-
-  // --workers-per-shard pins the pool size exactly (the reactor
-  // runtime ignores the legacy total when it is set), so the 1/4-worker
-  // grid axis would run two identical configurations under different
-  // labels: collapse it to the one true thread count.
-  std::vector<int> worker_counts = {1, 4};
-  if constexpr (std::is_same_v<ConfigT, rpc::EventServerRuntimeConfig>) {
-    if (opt.workers_per_shard > 0) {
-      worker_counts = {opt.workers_per_shard * opt.reactors};
-    }
-  }
-  const std::vector<int> client_counts = {1, 4, 16};
-
-  RuntimeReport report;
-  for (int w : worker_counts) {
-    for (int c : client_counts) {
-      Point p = run_point<RuntimeT, ConfigT>(name, cache, w, c, opt);
-      std::printf("%-10s %-10d %-10d %-10d %-8s %14.0f %10.0f %10.0f\n",
-                  p.runtime.c_str(), p.workers, p.clients, p.reactors,
-                  p.backend.c_str(), p.calls_per_sec, p.p50_us, p.p99_us);
-      report.points.push_back(p);
-    }
-  }
-  report.cache_stats = cache.stats();
-  return report;
-}
-
-double rate_at(const std::vector<Point>& points, const std::string& runtime,
-               int w, int c) {
+double rate_at(const std::vector<Point>& points, int w, int c) {
   for (const auto& p : points) {
-    if (p.runtime == runtime && p.workers == w && p.clients == c) {
-      return p.calls_per_sec;
-    }
+    if (p.workers == w && p.clients == c) return p.calls_per_sec;
   }
   return 0.0;
 }
 
 void run(const Options& opt) {
-  bool want_threaded = opt.runtime == "threaded" || opt.runtime == "both";
-  const bool want_reactor = opt.runtime == "reactor" || opt.runtime == "both";
-  if (opt.tcp_depth > 0 && want_threaded) {
-    // The threaded runtime parks one worker per connection, so any
-    // point with clients > workers would sit in accept queues instead
-    // of measuring dispatch: the TCP-depth comparison is reactor-only.
-    std::printf("note: --tcp-depth is reactor-only; skipping threaded\n");
-    want_threaded = false;
-  }
   if (opt.open_loop > 0.0 && opt.tcp_depth > 0) {
     std::fprintf(stderr, "--open-loop is UDP-only (no --tcp-depth)\n");
     std::exit(2);
@@ -539,12 +448,9 @@ void run(const Options& opt) {
   std::printf(
       "bench_concurrent: echo-array n=%u over loopback %s, "
       "dwell=%dus, %dms per point, cache shards=%zu, reactors=%d, "
-      "backend=%s%s%s, workers/shard=%d, queue=%s, %s\n\n",
+      "backend=%s, %s\n\n",
       kArraySize, opt.tcp_depth > 0 ? "TCP" : "UDP", opt.dwell_us,
       opt.duration_ms, kCacheShards, opt.reactors, opt.backend.c_str(),
-      opt.sqpoll ? "+sqpoll" : "", opt.pin_shards ? "+pin" : "",
-      opt.workers_per_shard,
-      opt.shared_queue ? "shared" : "shard-local",
       opt.tcp_depth > 0
           ? "pipelined TCP"
           : (opt.window > 0 ? "pipelined bursts" : "closed loop"));
@@ -560,28 +466,22 @@ void run(const Options& opt) {
     std::printf("open loop: %.0f offered calls/sec across clients\n\n",
                 opt.open_loop);
   }
-  std::printf("%-10s %-10s %-10s %-10s %-8s %14s %10s %10s\n", "runtime",
-              "workers", "clients", "reactors", "backend", "calls/sec",
-              "p50_us", "p99_us");
+  std::printf("%-10s %-10s %-10s %-8s %14s %10s %10s\n", "workers",
+              "clients", "reactors", "backend", "calls/sec", "p50_us",
+              "p99_us");
 
+  core::SpecCache cache(64, kCacheShards);
   std::vector<Point> points;
-  core::SpecCacheStats cache_total;
-  auto absorb = [&](const RuntimeReport& r) {
-    points.insert(points.end(), r.points.begin(), r.points.end());
-    cache_total.hits += r.cache_stats.hits;
-    cache_total.misses += r.cache_stats.misses;
-    cache_total.evictions += r.cache_stats.evictions;
-    cache_total.build_failures += r.cache_stats.build_failures;
-  };
-  if (want_threaded) {
-    absorb(run_runtime<rpc::ServerRuntime, rpc::ServerRuntimeConfig>(
-        "threaded", opt));
+  for (int w : {1, 4}) {
+    for (int c : {1, 4, 16}) {
+      Point p = run_point(cache, w, c, opt);
+      std::printf("%-10d %-10d %-10d %-8s %14.0f %10.0f %10.0f\n", p.workers,
+                  p.clients, p.reactors, p.backend.c_str(), p.calls_per_sec,
+                  p.p50_us, p.p99_us);
+      points.push_back(p);
+    }
   }
-  if (want_reactor) {
-    absorb(
-        run_runtime<rpc::EventServerRuntime, rpc::EventServerRuntimeConfig>(
-            "reactor", opt));
-  }
+  const core::SpecCacheStats cache_total = cache.stats();
 
   const double total = static_cast<double>(cache_total.hits) +
                        static_cast<double>(cache_total.misses);
@@ -598,32 +498,19 @@ void run(const Options& opt) {
     // the worker-scaling PASS/FAIL checks are meaningless — what the
     // mode reports is latency at that rate.
     for (const auto& p : points) {
-      std::printf("%s w=%d c=%d: offered %.0f achieved %.0f — client "
+      std::printf("w=%d c=%d: offered %.0f achieved %.0f — client "
                   "p50=%.0fus p99=%.0fus p999=%.0fus (%lld samples)\n",
-                  p.runtime.c_str(), p.workers, p.clients, p.offered_per_sec,
+                  p.workers, p.clients, p.offered_per_sec,
                   p.calls_per_sec, p.client_p50_us, p.client_p99_us,
                   p.client_p999_us,
                   static_cast<long long>(p.client_lat_count));
     }
   } else {
-    // Scaling self-checks at the most parallel client count.
-    for (const char* name : {"threaded", "reactor"}) {
-      const double r1 = rate_at(points, name, 1, 16);
-      const double r4 = rate_at(points, name, 4, 16);
-      if (r1 == 0.0 || r4 == 0.0) continue;  // axis not part of this run
-      std::printf("%s scaling 1->4 workers @16 clients: %.0f -> %.0f "
-                  "(%.2fx) %s\n",
-                  name, r1, r4, r1 > 0 ? r4 / r1 : 0.0,
-                  r4 > r1 ? "PASS" : "FAIL");
-    }
-    if (want_threaded && want_reactor) {
-      const double rt = rate_at(points, "threaded", 4, 16);
-      const double rr = rate_at(points, "reactor", 4, 16);
-      std::printf("head-to-head @4 workers/16 clients: threaded %.0f vs "
-                  "reactor %.0f (%.2fx) %s\n",
-                  rt, rr, rt > 0 ? rr / rt : 0.0,
-                  rr >= 0.9 * rt ? "PASS" : "FAIL");
-    }
+    // Scaling self-check at the most parallel client count.
+    const double r1 = rate_at(points, 1, 16);
+    const double r4 = rate_at(points, 4, 16);
+    std::printf("scaling 1->4 workers @16 clients: %.0f -> %.0f (%.2fx) %s\n",
+                r1, r4, r1 > 0 ? r4 / r1 : 0.0, r4 > r1 ? "PASS" : "FAIL");
   }
   std::printf("cache hit rate >= 0.90: %s\n",
               hit_rate >= 0.90 ? "PASS" : "FAIL");
@@ -645,9 +532,7 @@ void run(const Options& opt) {
     jw.field("cache_shards", kCacheShards);
     jw.field("window", opt.window);
     jw.field("reactors", opt.reactors);
-    jw.field("workers_per_shard", opt.workers_per_shard);
     jw.field("tcp_depth", opt.tcp_depth);
-    jw.field("queue", opt.shared_queue ? "shared" : "shard-local");
     jw.field("open_loop_per_sec", opt.open_loop);
     // Whether the server recorded latency histograms: the CI overhead
     // A/B diffs a metrics-on artifact against a TEMPO_METRICS=0 one.
@@ -655,13 +540,10 @@ void run(const Options& opt) {
     jw.key_array("points");
     for (const Point& p : points) {
       jw.begin_object();
-      jw.field("runtime", p.runtime);
       jw.field("workers", p.workers);
       jw.field("clients", p.clients);
       jw.field("reactors", p.reactors);
-      jw.field("workers_per_shard", p.workers_per_shard);
       jw.field("tcp_depth", p.tcp_depth);
-      jw.field("queue", p.shared_queue ? "shared" : "shard-local");
       jw.field("backend", p.backend);
       jw.field("uring_enters", p.uring_enters);
       jw.field("calls_per_sec", p.calls_per_sec);
@@ -704,27 +586,14 @@ int main(int argc, char** argv) {
       opt.window = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--reactors") == 0 && i + 1 < argc) {
       opt.reactors = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers-per-shard") == 0 &&
-               i + 1 < argc) {
-      opt.workers_per_shard = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--tcp-depth") == 0 && i + 1 < argc) {
       opt.tcp_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--shared-queue") == 0) {
-      opt.shared_queue = true;
     } else if (std::strcmp(argv[i], "--open-loop") == 0 && i + 1 < argc) {
       opt.open_loop = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--runtime") == 0 && i + 1 < argc) {
-      opt.runtime = argv[++i];
-    } else if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
-      opt.runtime = argv[i] + 10;
     } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
       opt.backend = argv[++i];
     } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
       opt.backend = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--sqpoll") == 0) {
-      opt.sqpoll = true;
-    } else if (std::strcmp(argv[i], "--pin-shards") == 0) {
-      opt.pin_shards = true;
     } else if (std::strcmp(argv[i], "--probe-uring") == 0) {
       // CI gate: exit 0 when the uring backend can run here, 3 when the
       // kernel (or TEMPO_URING=0) rules it out — lets workflows skip
@@ -737,22 +606,15 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--duration-ms N] [--dwell-us N] "
-                   "[--window N] [--reactors N] [--workers-per-shard N] "
-                   "[--shared-queue] [--tcp-depth N] [--open-loop RATE] "
-                   "[--runtime threaded|reactor|both] "
-                   "[--backend auto|epoll|poll|uring] [--sqpoll] "
-                   "[--pin-shards] [--probe-uring] [--json PATH|-]\n",
+                   "[--window N] [--reactors N] [--tcp-depth N] "
+                   "[--open-loop RATE] [--backend auto|epoll|uring] "
+                   "[--probe-uring] [--json PATH|-]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (opt.runtime != "threaded" && opt.runtime != "reactor" &&
-      opt.runtime != "both") {
-    std::fprintf(stderr, "unknown --runtime %s\n", opt.runtime.c_str());
-    return 2;
-  }
   if (opt.backend != "auto" && opt.backend != "epoll" &&
-      opt.backend != "poll" && opt.backend != "uring") {
+      opt.backend != "uring") {
     std::fprintf(stderr, "unknown --backend %s\n", opt.backend.c_str());
     return 2;
   }

@@ -7,9 +7,8 @@
 // with it); keeping them in ad-hoc per-runtime pools — what PR 3/4 did
 // for datagram payloads only — leaves every other buffer allocating and
 // gives each call site its own sizing rules.  BufferArena is the one
-// shared pool both runtimes draw from, one instance per reactor shard
-// (plus one for the threaded runtime) so takes mostly hit the shard's
-// own freelists.
+// shared pool the server runtime draws from, one instance per reactor
+// shard so takes mostly hit the shard's own freelists.
 //
 // Model:
 //   * buffers live in power-of-two size classes between

@@ -72,7 +72,7 @@ class SpecializedService {
 //    shape hits the fast path.
 //
 // Thread-safe: handle() may run on many worker threads concurrently
-// (see rpc::ServerRuntime); stats are atomic and the hot-spec slot is
+// (see rpc::EventServerRuntime); stats are atomic and the hot-spec slot is
 // an atomic<shared_ptr> — the fast path reads it without any lock,
 // matching the lock-free hot-spec slot inside SpecCache itself.
 class CachedSpecService {

@@ -1,6 +1,8 @@
 #include "net/reactor.h"
 
 #include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -8,21 +10,10 @@
 #include <cstring>
 #include <utility>
 
-#include "net/transport.h"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#define TEMPO_HAVE_EPOLL 1
-#else
-#define TEMPO_HAVE_EPOLL 0
-#endif
-
 namespace tempo::net {
 
 namespace {
 
-#if TEMPO_HAVE_EPOLL
 std::uint32_t to_epoll_mask(unsigned interest) {
   std::uint32_t m = 0;
   if (interest & kEventRead) m |= EPOLLIN;
@@ -37,8 +28,8 @@ unsigned from_epoll_mask(std::uint32_t m) {
   if (m & (EPOLLHUP | EPOLLERR)) ev |= kEventError;
   return ev;
 }
-#endif
 
+// POLL_ADD masks for the uring backend's fd interest.
 unsigned from_poll_mask(short m) {
   unsigned ev = 0;
   if (m & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) ev |= kEventRead;
@@ -67,62 +58,33 @@ std::uint64_t poll_user_data(int fd, unsigned gen) {
 
 }  // namespace
 
-void Reactor::init_wakeup() {
-#if defined(__linux__)
-  // eventfd: one fd per reactor instead of a pipe pair, and draining is
-  // a single 8-byte counter read.
-  int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (efd >= 0) {
-    wake_read_fd_ = wake_write_fd_ = efd;
-    return;
-  }
-#endif
-  int fds[2];
-  if (::pipe(fds) != 0) return;
-  wake_read_fd_ = fds[0];
-  wake_write_fd_ = fds[1];
-  if (!set_fd_nonblocking(wake_read_fd_, true) ||
-      !set_fd_nonblocking(wake_write_fd_, true)) {
-    ::close(wake_read_fd_);
-    ::close(wake_write_fd_);
-    wake_read_fd_ = wake_write_fd_ = -1;
-  }
-}
-
-void Reactor::init_epoll() {
-#if TEMPO_HAVE_EPOLL
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  use_epoll_ = epoll_fd_ >= 0;
-  if (use_epoll_) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_read_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_read_fd_, &ev) != 0) {
-      ::close(epoll_fd_);
-      epoll_fd_ = -1;
-      use_epoll_ = false;
-    }
-  }
-#endif
-}
-
-Reactor::Reactor(ReactorBackend backend, bool sqpoll) {
-  init_wakeup();
-  if (!ok()) return;
-  if (backend == ReactorBackend::kUring && Uring::supported()) {
-    auto ring = std::make_unique<Uring>(256, sqpoll);
+Reactor::Reactor(ReactorBackend backend) {
+  // eventfd wakeup: one fd per reactor, and draining is a single 8-byte
+  // counter read.
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) return;
+  if (backend == ReactorBackend::kAuto && Uring::supported()) {
+    auto ring = std::make_unique<Uring>(256);
     if (ring->ok()) {
       uring_ = std::move(ring);
       // Arm the wakeup poll before the loop thread exists so the first
       // blocking wait can already be popped.
-      uring_->prep_poll_add(wake_read_fd_, POLLIN,
+      uring_->prep_poll_add(wake_fd_, POLLIN,
                             uring_user_data(kUringTagWake, 0));
       wake_armed_ = true;
       uring_->submit();
       return;
     }
   }
-  if (backend != ReactorBackend::kPoll) init_epoll();
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    ::close(epoll_fd_);
+    epoll_fd_ = -1;
+  }
 }
 
 Reactor::~Reactor() {
@@ -130,18 +92,14 @@ Reactor::~Reactor() {
   // reference.
   uring_.reset();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0 && wake_write_fd_ != wake_read_fd_) {
-    ::close(wake_write_fd_);
-  }
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
-bool Reactor::ok() const { return wake_read_fd_ >= 0; }
-
-const char* Reactor::backend() const {
-  if (uring_) return "uring";
-  return use_epoll_ ? "epoll" : "poll";
+bool Reactor::ok() const {
+  return wake_fd_ >= 0 && (uring_ != nullptr || epoll_fd_ >= 0);
 }
+
+const char* Reactor::backend() const { return uring_ ? "uring" : "epoll"; }
 
 void Reactor::uring_arm_poll(int fd, Entry& e) {
   if (e.armed) return;
@@ -162,14 +120,12 @@ void Reactor::uring_disarm_poll(int fd, Entry& e) {
 
 bool Reactor::add(int fd, unsigned interest, EventFn fn) {
   if (fd < 0 || handlers_.count(fd) != 0) return false;
-#if TEMPO_HAVE_EPOLL
-  if (use_epoll_) {
+  if (epoll_fd_ >= 0) {
     epoll_event ev{};
     ev.events = to_epoll_mask(interest);
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
   }
-#endif
   Entry& e = handlers_[fd];
   e.interest = interest;
   e.fn = std::move(fn);
@@ -180,14 +136,12 @@ bool Reactor::add(int fd, unsigned interest, EventFn fn) {
 bool Reactor::set_interest(int fd, unsigned interest) {
   auto it = handlers_.find(fd);
   if (it == handlers_.end()) return false;
-#if TEMPO_HAVE_EPOLL
-  if (use_epoll_) {
+  if (epoll_fd_ >= 0) {
     epoll_event ev{};
     ev.events = to_epoll_mask(interest);
     ev.data.fd = fd;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
   }
-#endif
   if (uring_ && it->second.interest != interest) {
     uring_disarm_poll(fd, it->second);
     it->second.interest = interest;
@@ -201,13 +155,11 @@ bool Reactor::set_interest(int fd, unsigned interest) {
 bool Reactor::remove(int fd) {
   auto it = handlers_.find(fd);
   if (it == handlers_.end()) return false;
-#if TEMPO_HAVE_EPOLL
-  if (use_epoll_) {
+  if (epoll_fd_ >= 0) {
     // Ignore failure: the caller may have closed the fd already, which
     // removes it from the epoll set implicitly.
     (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   }
-#endif
   if (uring_) uring_disarm_poll(fd, it->second);
   handlers_.erase(it);
   return true;
@@ -224,18 +176,11 @@ void Reactor::post(std::function<void()> fn) {
 void Reactor::wakeup() {
   // Collapse storms: one pending signal is enough to pop poll_once.
   if (wake_pending_.exchange(true, std::memory_order_acq_rel)) return;
+  const std::uint64_t one = 1;  // eventfd counter increment
   ssize_t n;
-  if (wake_write_fd_ == wake_read_fd_) {
-    const std::uint64_t one = 1;  // eventfd counter increment
-    do {
-      n = ::write(wake_write_fd_, &one, sizeof(one));
-    } while (n < 0 && errno == EINTR);
-  } else {
-    const char b = 1;
-    do {
-      n = ::write(wake_write_fd_, &b, 1);
-    } while (n < 0 && errno == EINTR);
-  }
+  do {
+    n = ::write(wake_fd_, &one, sizeof(one));
+  } while (n < 0 && errno == EINTR);
 }
 
 void Reactor::drain_posted() {
@@ -247,21 +192,18 @@ void Reactor::drain_posted() {
   for (auto& fn : run) fn();
 }
 
-void Reactor::drain_wakeup_pipe() {
+void Reactor::drain_wakeup() {
   // Read BEFORE clearing the flag.  The reverse order loses wakeups: a
-  // wakeup() racing between the store and the read writes a byte that
-  // the read then consumes, leaving wake_pending_ true with an empty
-  // pipe — every later wakeup() would skip its write and a reactor
+  // wakeup() racing between the store and the read adds to the counter
+  // that the read then consumes, leaving wake_pending_ true with a zero
+  // counter — every later wakeup() would skip its write and a reactor
   // blocked in epoll_wait(-1) would never pop.  With this order, a
   // racer that observes the still-true flag skips the write, and its
   // posted closure is picked up by the drain_posted() that follows
-  // every backend_wait().
-  //
-  // For the eventfd the first read returns the whole 8-byte counter and
-  // resets it, so the loop exits after one iteration.
-  char buf[64];
-  while (::read(wake_read_fd_, buf, sizeof(buf)) > 0) {
-  }
+  // every backend_wait().  One read returns and resets the whole
+  // counter.
+  std::uint64_t count;
+  (void)!::read(wake_fd_, &count, sizeof(count));
   wake_pending_.store(false, std::memory_order_release);
 }
 
@@ -273,7 +215,7 @@ int Reactor::uring_wait(int timeout_ms,
     switch (uring_tag(c.user_data)) {
       case kUringTagWake:
         wake_armed_ = false;
-        drain_wakeup_pipe();
+        drain_wakeup();
         break;
       case kUringTagPoll: {
         const int fd = static_cast<int>(c.user_data & 0xFFFFFFFFu);
@@ -301,7 +243,7 @@ int Reactor::uring_wait(int timeout_ms,
     // Re-arm the wakeup poll; submitted before the next blocking wait.
     // A wakeup() racing the unarmed window leaves the eventfd counter
     // nonzero, so the fresh (level-triggered) poll completes instantly.
-    uring_->prep_poll_add(wake_read_fd_, POLLIN,
+    uring_->prep_poll_add(wake_fd_, POLLIN,
                           uring_user_data(kUringTagWake, 0));
     wake_armed_ = true;
   }
@@ -312,42 +254,19 @@ int Reactor::uring_wait(int timeout_ms,
 int Reactor::backend_wait(int timeout_ms,
                           std::vector<std::pair<int, unsigned>>* out) {
   if (uring_) return uring_wait(timeout_ms, out);
-#if TEMPO_HAVE_EPOLL
-  if (use_epoll_) {
-    epoll_event events[64];
-    int n;
-    do {
-      n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return n;
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_read_fd_) {
-        drain_wakeup_pipe();
-        continue;
-      }
-      out->emplace_back(fd, from_epoll_mask(events[i].events));
-    }
-    return n;
-  }
-#endif
-  std::vector<pollfd> pfds;
-  pfds.reserve(handlers_.size() + 1);
-  pfds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
-  for (const auto& [fd, entry] : handlers_) {
-    const short mask = to_poll_mask(entry.interest);
-    if (mask != 0) pfds.push_back(pollfd{fd, mask, 0});
-  }
+  epoll_event events[64];
   int n;
   do {
-    n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+    n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
   } while (n < 0 && errno == EINTR);
   if (n <= 0) return n;
-  if (pfds[0].revents != 0) drain_wakeup_pipe();
-  for (std::size_t i = 1; i < pfds.size(); ++i) {
-    if (pfds[i].revents != 0) {
-      out->emplace_back(pfds[i].fd, from_poll_mask(pfds[i].revents));
+  for (int i = 0; i < n; ++i) {
+    const int fd = events[i].data.fd;
+    if (fd == wake_fd_) {
+      drain_wakeup();
+      continue;
     }
+    out->emplace_back(fd, from_epoll_mask(events[i].events));
   }
   return n;
 }

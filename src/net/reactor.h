@@ -1,24 +1,26 @@
-// Reactor — single-threaded fd readiness dispatcher (epoll on Linux,
-// poll(2) everywhere, io_uring where the kernel supports it).
+// Reactor — single-threaded fd readiness dispatcher (epoll, or
+// io_uring where the kernel supports it).
 //
-// The concurrent server runtime of PR 1 spends one blocking thread per
-// listener and one worker per in-flight TCP connection; a slow peer pins
-// a worker for the lifetime of its connection.  The reactor inverts
-// that: every socket is non-blocking and registered here with an
-// interest mask, and one thread multiplexes all of them — the classic
+// Every socket is non-blocking and registered here with an interest
+// mask, and one thread multiplexes all of them — the classic
 // svc_run/select shape of Sun RPC, upgraded to epoll scale.
 //
 // Backends:
-//   * epoll — the Linux default; one epoll_wait per burst.
-//   * poll  — portable fallback, also selectable for tests.
+//   * epoll — one epoll_wait per burst; what kEpoll selects, and what
+//     kAuto falls back to.
 //   * uring — io_uring (raw syscalls, see uring.h).  fd interest is
 //     implemented as one-shot IORING_OP_POLL_ADD re-armed after each
 //     dispatch (preserving the level-triggered semantics handlers
 //     assume), and the owner may additionally push its own SQEs (e.g.
 //     multishot recv) through uring() and observe their completions via
 //     set_cqe_handler(); all SQEs batch into the single io_uring_enter
-//     that poll_once issues.  Requested uring falling back to epoll at
-//     construction (no kernel support) is reported via backend().
+//     that poll_once issues.  kAuto selects it when the kernel passes
+//     the probe; a ring that fails to set up falls back to epoll, and
+//     backend() reports what actually runs.
+//
+// A reactor that cannot set up its backend (epoll_create1 or eventfd
+// failing, e.g. at RLIMIT_NOFILE) reports ok() == false; it never
+// downgrades to a slower loop.
 //
 // Threading contract: add/set_interest/remove/poll_once must all run on
 // the reactor thread (the thread that calls poll_once in a loop).  The
@@ -56,10 +58,8 @@ inline constexpr unsigned kEventError = 4u;
 using EventFn = std::function<void(unsigned events)>;
 
 enum class ReactorBackend {
-  kAuto,   // epoll on Linux, poll elsewhere (the historical default)
-  kEpoll,  // epoll, falling back to poll off-Linux
-  kPoll,   // portable poll(2)
-  kUring,  // io_uring, falling back to epoll when unavailable
+  kAuto,   // io_uring when Uring::supported(), epoll otherwise
+  kEpoll,  // epoll, even on kernels that could run io_uring
 };
 
 // Receives completions whose user_data tag is >= kUringTagUser (uring
@@ -69,18 +69,14 @@ using CqeFn =
 
 class Reactor {
  public:
-  explicit Reactor(ReactorBackend backend, bool sqpoll = false);
-  // force_poll selects the portable poll(2) backend even where epoll is
-  // available — used by tests to cover the fallback path.
-  explicit Reactor(bool force_poll = false)
-      : Reactor(force_poll ? ReactorBackend::kPoll : ReactorBackend::kAuto) {}
+  explicit Reactor(ReactorBackend backend = ReactorBackend::kAuto);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
   bool ok() const;
-  const char* backend() const;  // "epoll", "poll", or "uring"
+  const char* backend() const;  // "epoll" or "uring"
 
   // True when the running kernel supports everything the uring backend
   // needs (probed once; see Uring::supported).
@@ -134,21 +130,15 @@ class Reactor {
     bool armed = false;
   };
 
-  void init_wakeup();
-  void init_epoll();
   void drain_posted();
-  void drain_wakeup_pipe();
+  void drain_wakeup();
   int backend_wait(int timeout_ms, std::vector<std::pair<int, unsigned>>* out);
   int uring_wait(int timeout_ms, std::vector<std::pair<int, unsigned>>* out);
   void uring_arm_poll(int fd, Entry& e);
   void uring_disarm_poll(int fd, Entry& e);
 
-  bool use_epoll_ = false;
-  int epoll_fd_ = -1;
-  // With the Linux eventfd wakeup these are the SAME fd (one fd per
-  // shard, 8-byte counter reads); the portable pipe keeps them distinct.
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  int epoll_fd_ = -1;  // -1 on the uring backend
+  int wake_fd_ = -1;   // eventfd: wakeup() adds 1, drain_wakeup() reads
 
   std::unordered_map<int, Entry> handlers_;
 

@@ -47,21 +47,12 @@ UdpSocket::UdpSocket(std::uint16_t port, bool reuseport) {
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0) return;
   if (reuseport) {
-#if defined(SO_REUSEPORT)
     const int one = 1;
     if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
       ::close(fd_);
       fd_ = -1;
       return;
     }
-#else
-    // No SO_REUSEPORT on this platform: fail so the caller can fall
-    // back to a single receiving socket instead of silently binding a
-    // second socket that steals the port.
-    ::close(fd_);
-    fd_ = -1;
-    return;
-#endif
   }
   Addr want{0x7F000001u, port};
   sockaddr_in sa = to_sockaddr(want);
@@ -110,7 +101,6 @@ int UdpSocket::recv_many(std::vector<Datagram>& out, int max_msgs) {
       out[static_cast<std::size_t>(i)].payload.resize(kMaxDatagramBytes);
     }
   }
-#if defined(__linux__)
   std::vector<mmsghdr> msgs(static_cast<std::size_t>(max_msgs));
   std::vector<iovec> iovs(static_cast<std::size_t>(max_msgs));
   std::vector<sockaddr_in> addrs(static_cast<std::size_t>(max_msgs));
@@ -136,30 +126,10 @@ int UdpSocket::recv_many(std::vector<Datagram>& out, int max_msgs) {
     out[u].len = msgs[u].msg_len;
   }
   return n;
-#else
-  int n = 0;
-  while (n < max_msgs) {
-    const auto u = static_cast<std::size_t>(n);
-    sockaddr_in sa{};
-    socklen_t len = sizeof(sa);
-    const ssize_t got =
-        ::recvfrom(fd_, out[u].payload.data(), out[u].payload.size(),
-                   MSG_DONTWAIT, reinterpret_cast<sockaddr*>(&sa), &len);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      break;  // EWOULDBLOCK: drained
-    }
-    out[u].src = from_sockaddr(sa);
-    out[u].len = static_cast<std::size_t>(got);
-    ++n;
-  }
-  return n;
-#endif
 }
 
 int UdpSocket::send_many(const OutDatagram* msgs, int count) {
   if (fd_ < 0 || count <= 0) return 0;
-#if defined(__linux__)
   // Reused per calling thread so a steady stream of batched flushes
   // does not hit the allocator (mirrors recv_many's pooled buffers).
   thread_local std::vector<mmsghdr> hdrs;
@@ -193,15 +163,6 @@ int UdpSocket::send_many(const OutDatagram* msgs, int count) {
     sent += n;
   }
   return sent;
-#else
-  int sent = 0;
-  while (sent < count) {
-    const auto u = static_cast<std::size_t>(sent);
-    if (!send_to(msgs[u].dst, msgs[u].payload).is_ok()) break;
-    ++sent;
-  }
-  return sent;
-#endif
 }
 
 Result<std::size_t> UdpSocket::recv_from(Addr* src, MutableByteSpan out,

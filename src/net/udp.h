@@ -43,9 +43,8 @@ class UdpSocket final : public DatagramTransport {
   // sockets (one per reactor shard) can share one port and let the
   // kernel disperse inbound datagrams across them by flow hash.  All
   // members of a reuseport group MUST set the flag, including the first
-  // socket to bind.  Construction fails (ok() == false) where the
-  // platform lacks SO_REUSEPORT — callers fall back to a single
-  // receiving socket.
+  // socket to bind.  Construction fails (ok() == false) when the kernel
+  // refuses the option — callers fall back to a single receiving socket.
   explicit UdpSocket(std::uint16_t port = 0, bool reuseport = false);
   ~UdpSocket() override;
 
@@ -66,16 +65,14 @@ class UdpSocket final : public DatagramTransport {
   Status set_nonblocking(bool on);
 
   // Batched non-blocking receive: drains up to max_msgs datagrams in
-  // one syscall (recvmmsg(2) on Linux; a recvfrom(MSG_DONTWAIT) loop —
-  // one syscall per datagram — elsewhere).  Grows `out` as needed and
+  // one recvmmsg(2) syscall.  Grows `out` as needed and
   // records each received length in Datagram::len (payload buffers are
   // never shrunk).  Returns the number of datagrams received; 0 means
   // the socket had nothing pending.
   int recv_many(std::vector<Datagram>& out, int max_msgs);
 
   // Batched send: transmits msgs[0..count) in order with one
-  // sendmmsg(2) syscall per burst on Linux (a sendto loop — one
-  // syscall per datagram — elsewhere).  Stops at the first datagram
+  // sendmmsg(2) syscall per burst.  Stops at the first datagram
   // the kernel refuses (EWOULDBLOCK on a non-blocking socket, ENOBUFS,
   // ...) and returns how many were sent; the caller owns retrying the
   // tail.  EINTR is retried internally.

@@ -47,24 +47,11 @@ void store_release(unsigned* p, unsigned v) {
 
 }  // namespace
 
-Uring::Uring(unsigned sq_entries, bool sqpoll) {
+Uring::Uring(unsigned sq_entries) {
   io_uring_params p{};
   p.flags = IORING_SETUP_CLAMP | IORING_SETUP_CQSIZE;
   p.cq_entries = sq_entries * 4;
-  if (sqpoll) {
-    p.flags |= IORING_SETUP_SQPOLL;
-    p.sq_thread_idle = 100;  // ms before the kernel thread parks itself
-  }
-  int fd = sys_io_uring_setup(sq_entries, &p);
-  if (fd < 0 && sqpoll) {
-    // SQPOLL can be refused (privileges, RLIMIT); fall back to a plain
-    // ring rather than failing the backend.
-    p = io_uring_params{};
-    p.flags = IORING_SETUP_CLAMP | IORING_SETUP_CQSIZE;
-    p.cq_entries = sq_entries * 4;
-    fd = sys_io_uring_setup(sq_entries, &p);
-    sqpoll = false;
-  }
+  const int fd = sys_io_uring_setup(sq_entries, &p);
   if (fd < 0) return;
   // EXT_ARG gives timed waits without a timeout SQE; NODROP means CQ
   // overflow queues instead of dropping.  Both are kernel 5.11-era;
@@ -103,7 +90,6 @@ Uring::Uring(unsigned sq_entries, bool sqpoll) {
   sq_tail_ = reinterpret_cast<unsigned*>(base + p.sq_off.tail);
   sq_mask_ = *reinterpret_cast<unsigned*>(base + p.sq_off.ring_mask);
   sq_entries_ = p.sq_entries;
-  sq_flags_ = reinterpret_cast<unsigned*>(base + p.sq_off.flags);
   sq_array_ = reinterpret_cast<unsigned*>(base + p.sq_off.array);
   sqes_ = static_cast<io_uring_sqe*>(sqes);
   sqes_len_ = sqes_len;
@@ -116,7 +102,6 @@ Uring::Uring(unsigned sq_entries, bool sqpoll) {
   cqes_ = reinterpret_cast<io_uring_cqe*>(base + p.cq_off.cqes);
 
   features_ = p.features;
-  sqpoll_ = sqpoll;
   ring_fd_ = fd;
 }
 
@@ -137,8 +122,7 @@ io_uring_sqe* Uring::get_sqe() {
   unsigned head = load_acquire(sq_head_);
   unsigned tail = *sq_tail_ + sq_pending_;
   if (tail - head >= sq_entries_) {
-    // SQ full: flush what we have and retry once.  Under SQPOLL the
-    // kernel drains asynchronously, so spin briefly.
+    // SQ full: flush what we have and retry once.
     submit();
     head = load_acquire(sq_head_);
     tail = *sq_tail_ + sq_pending_;
@@ -292,13 +276,6 @@ int Uring::submit() {
     store_release(sq_tail_, tail + n);
     sq_pending_ = 0;
   }
-  if (sqpoll_) {
-    // The kernel thread consumes the SQ; only poke it when parked.
-    if (load_acquire(sq_flags_) & IORING_SQ_NEED_WAKEUP) {
-      enter(n, 0, IORING_ENTER_SQ_WAKEUP, nullptr, 0);
-    }
-    return static_cast<int>(n);
-  }
   if (n == 0) return 0;
   int r = enter(n, 0, 0, nullptr, 0);
   return r < 0 ? 0 : r;
@@ -315,30 +292,20 @@ int Uring::submit_and_wait(int timeout_ms, std::vector<UringCqe>& out) {
     store_release(sq_tail_, tail + n);
     sq_pending_ = 0;
   }
-  unsigned flags = 0;
-  unsigned to_submit = n;
-  if (sqpoll_) {
-    to_submit = 0;
-    if (load_acquire(sq_flags_) & IORING_SQ_NEED_WAKEUP) {
-      flags |= IORING_ENTER_SQ_WAKEUP;
-    }
-  }
   // An already-pending CQE satisfies min_complete without blocking, so
   // one enter covers submit + wait + (implicit) immediate return.
   if (timeout_ms == 0) {
-    if (to_submit > 0 || (flags & IORING_ENTER_SQ_WAKEUP) != 0) {
-      enter(to_submit, 0, flags, nullptr, 0);
-    }
+    if (n > 0) enter(n, 0, 0, nullptr, 0);
   } else if (timeout_ms < 0) {
-    enter(to_submit, 1, flags | IORING_ENTER_GETEVENTS, nullptr, 0);
+    enter(n, 1, IORING_ENTER_GETEVENTS, nullptr, 0);
   } else {
     __kernel_timespec ts{};
     ts.tv_sec = timeout_ms / 1000;
     ts.tv_nsec = static_cast<long long>(timeout_ms % 1000) * 1000000;
     io_uring_getevents_arg arg{};
     arg.ts = reinterpret_cast<std::uintptr_t>(&ts);
-    enter(to_submit, 1, flags | IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG,
-          &arg, sizeof(arg));
+    enter(n, 1, IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG, &arg,
+          sizeof(arg));
   }
   return reap(out);
 }
@@ -366,7 +333,7 @@ bool Uring::supported() {
   if (env != nullptr && env[0] == '0') return false;
   static const bool probed = [] {
     // Setup must work and report the required features...
-    Uring ring(8, /*sqpoll=*/false);
+    Uring ring(8);
     if (!ring.ok()) return false;
     // ...the op set must include the multishot-recv era (probe for
     // IORING_OP_SEND_ZC, added in the same 6.0 window; older kernels
@@ -395,7 +362,7 @@ namespace tempo::net {
 
 // Stubs: the uring backend is never selected when the headers are too
 // old, but call sites still link against these symbols.
-Uring::Uring(unsigned, bool) {}
+Uring::Uring(unsigned) {}
 Uring::~Uring() = default;
 bool Uring::prep_poll_add(int, unsigned, std::uint64_t) { return false; }
 bool Uring::prep_poll_remove(std::uint64_t, std::uint64_t) { return false; }

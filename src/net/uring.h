@@ -78,16 +78,13 @@ class Uring {
 
   // sq_entries is rounded up by the kernel; the CQ is sized 4x to ride
   // out multishot completion bursts (NODROP handles overflow anyway).
-  // sqpoll asks for IORING_SETUP_SQPOLL and silently falls back to a
-  // plain ring when the kernel refuses it.
-  Uring(unsigned sq_entries, bool sqpoll);
+  explicit Uring(unsigned sq_entries);
   ~Uring();
 
   Uring(const Uring&) = delete;
   Uring& operator=(const Uring&) = delete;
 
   bool ok() const { return ring_fd_ >= 0; }
-  bool sqpoll_active() const { return sqpoll_; }
 
   // ---- SQE preparation ------------------------------------------------
   // Each prep_* claims one SQE (flushing a full SQ with a submit if
@@ -123,8 +120,7 @@ class Uring {
   void buf_ring_commit();
 
   // ---- Submission / completion ---------------------------------------
-  // Flushes prepared SQEs.  Returns number submitted (0 is fine under
-  // SQPOLL where the kernel thread picks them up without a syscall).
+  // Flushes prepared SQEs.  Returns number submitted.
   int submit();
   // Submits, then waits for >= 1 CQE (timeout_ms < 0 blocks, 0 polls),
   // then drains the CQ into out.  Returns the number of CQEs reaped.
@@ -146,7 +142,6 @@ class Uring {
             const void* arg, std::size_t argsz);
 
   int ring_fd_ = -1;
-  bool sqpoll_ = false;
   std::uint32_t features_ = 0;
   std::atomic<std::int64_t> enter_calls_{0};
 
@@ -157,7 +152,6 @@ class Uring {
   unsigned* sq_tail_ = nullptr;
   unsigned sq_mask_ = 0;
   unsigned sq_entries_ = 0;
-  unsigned* sq_flags_ = nullptr;
   unsigned* sq_array_ = nullptr;
   struct io_uring_sqe* sqes_ = nullptr;
   std::size_t sqes_len_ = 0;
@@ -180,7 +174,6 @@ class Uring {
 #else
   std::atomic<std::int64_t> enter_calls_{0};
   unsigned buf_entries_ = 0;
-  bool sqpoll_ = false;
   int ring_fd_ = -1;
 #endif
 };

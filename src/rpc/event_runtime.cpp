@@ -1,128 +1,37 @@
 #include "rpc/event_runtime.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
-
-#if defined(__linux__)
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 #include "common/endian.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "rpc/shard_driver.h"
 #include "xdr/xdrrec.h"
 
 namespace tempo::rpc {
 
 namespace {
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-constexpr int kMaxReadsPerEvent = 4;
-
-// Best-effort CPU pinning for the pin_shards knob: shard i's reactor
-// thread and its home workers all land on core (i % ncpu), keeping a
-// request's cache lines on one core end to end.  Failure is ignored —
-// pinning is an optimization, never a correctness requirement.
-void pin_thread_to_cpu(std::size_t index) {
-#if defined(__linux__)
-  const unsigned n = std::thread::hardware_concurrency();
-  if (n == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(index % n), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)index;
-#endif
-}
-
-#if TEMPO_HAVE_URING
-// user_data tags of the runtime's own SQEs (tags below kUringTagUser
-// belong to the Reactor: poll, wake, ignore).
-constexpr std::uint64_t kTagUdpRecv = net::kUringTagUser + 0;    // no payload
-constexpr std::uint64_t kTagTcpRecv = net::kUringTagUser + 1;    // conn id
-constexpr std::uint64_t kTagUdpSend = net::kUringTagUser + 2;    // send slot
-constexpr std::uint64_t kTagTcpCancel = net::kUringTagUser + 3;  // conn id
-
-sockaddr_in addr_to_sockaddr(const net::Addr& a) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(a.host);
-  sa.sin_port = htons(a.port);
-  return sa;
-}
-
-net::Addr addr_from_sockaddr(const sockaddr_in& sa) {
-  return net::Addr{ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port)};
-}
-#endif  // TEMPO_HAVE_URING
+// Once this many complete records queue on one connection, the shard
+// stops reading it (TCP flow control pushes back on the peer) until
+// dispatch catches up.
+constexpr std::size_t kMaxPipelinedRecords = 64;
+// stop() waits this long for queued work before dropping it.
+constexpr int kDrainTimeoutMs = 2000;
+// Idle workers re-sweep sibling queues this often even without a
+// wakeup.  Stealing is wakeup-driven (push paths notify a sibling); the
+// tick is only the safety net, and stats().tick_steals counts how often
+// it actually rescued a job.
+constexpr int kStealTickMs = 50;
 
 }  // namespace
 
-// uring-backend state of one shard, owned by that shard's reactor
-// thread.  Behind a unique_ptr so the header only forward-declares it.
-//
-// Buffer-ownership contract (see src/net/README.md): bufs[bid] is the
-// arena slice currently lent to the kernel's provided-buffer ring slot
-// `bid` and is pin()-accounted for exactly that duration.  A receive
-// completion MOVES the slice out (UDP: into the datagram job; TCP: its
-// bytes are copied by parse_records and the same slice goes straight
-// back) and the slot is refilled before the next buf_ring_commit — a
-// slice the kernel may still write is never recycled, resized, or
-// freed.
-struct EventServerRuntime::ShardUring {
-#if TEMPO_HAVE_URING
-  std::vector<Bytes> bufs;  // bid -> slice on the ring
-  // Persistent header for the UDP multishot recvmsg (only msg_namelen
-  // is read; completions carry io_uring_recvmsg_out + source address +
-  // payload inline in the selected buffer).
-  msghdr udp_msg{};
-  bool udp_armed = false;
-  // Consecutive terminal recv errors that delivered no data.  Past a
-  // small burst the drain hook stops instantly re-arming and retries at
-  // poll-timeout pace instead — a persistent kernel-side error (bad fd,
-  // exhausted buffer group) must not become a syscall-speed spin.
-  int udp_arm_errors = 0;
-  // Datagram jobs accumulated across one CQ drain; uring_drain_end
-  // pushes them under ONE queue lock — the uring analogue of the
-  // recvmmsg batch.  pending_recv_ns stamps the whole batch.
-  std::vector<UdpDatagramJob> pending;
-  std::int64_t pending_recv_ns = 0;
-  // Linked-send slots.  A deque so addresses stay stable while the
-  // kernel reads the msghdr/iovec; completions recycle indices through
-  // free_slots.
-  struct SendOp {
-    msghdr mh{};
-    iovec iov{};
-    sockaddr_in dst{};
-    net::Addr addr;
-    Bytes buf;
-    std::size_t len = 0;
-    std::int64_t recv_ns = 0;
-  };
-  std::deque<SendOp> sends;
-  std::vector<std::size_t> free_slots;
-  int inflight_sends = 0;
-  // user_data of every armed multishot receive (the UDP recvmsg plus
-  // one per reading conn).  Maintained at arm and at terminal CQE —
-  // independent of the conn map, so a late completion after
-  // destroy_conn still balances — and consumed by uring_teardown,
-  // which cancels exactly these and waits for their terminal CQEs.
-  std::unordered_set<std::uint64_t> armed_recvs;
-#endif
-};
-
-EventServerRuntime::Shard::Shard(std::size_t idx, net::ReactorBackend be,
-                                 bool sqpoll)
-    : index(idx), reactor(be, sqpoll) {}
+EventServerRuntime::Shard::Shard(std::size_t idx, net::ReactorBackend be)
+    : index(idx), reactor(be) {}
 
 EventServerRuntime::Shard::~Shard() = default;
 
@@ -162,32 +71,9 @@ Status EventServerRuntime::start() {
                              nshards, cfg_.trace_ring, sample)
                        : nullptr;
 
-  // Resolve the backend once for the whole shard group: kAuto probes
-  // io_uring support and falls back to epoll; an explicit kUring is
-  // still a request (a shard whose ring setup fails individually runs
-  // epoll and reports so through backend()).
-  net::ReactorBackend rb = net::ReactorBackend::kAuto;
-  const EventBackend want =
-      cfg_.force_poll_backend ? EventBackend::kPoll : cfg_.backend;
-  switch (want) {
-    case EventBackend::kAuto:
-      rb = net::Reactor::uring_supported() ? net::ReactorBackend::kUring
-                                           : net::ReactorBackend::kAuto;
-      break;
-    case EventBackend::kEpoll:
-      rb = net::ReactorBackend::kEpoll;
-      break;
-    case EventBackend::kPoll:
-      rb = net::ReactorBackend::kPoll;
-      break;
-    case EventBackend::kUring:
-      rb = net::ReactorBackend::kUring;
-      break;
-  }
-
   shards_.reserve(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, rb, cfg_.sqpoll));
+    shards_.push_back(std::make_unique<Shard>(i, cfg_.backend));
     if (!shards_.back()->reactor.ok()) {
       shards_.clear();
       return unavailable("EventServerRuntime: reactor init");
@@ -241,16 +127,6 @@ Status EventServerRuntime::start() {
         shards_.clear();
         return st;
       }
-      // The shard threads are not running yet, so registration from the
-      // caller's thread is safe.  uring shards receive through a
-      // multishot recvmsg armed in setup_shard_uring instead of a
-      // readiness poll (setup falls back to this path if its
-      // provided-buffer ring cannot register).
-      Shard* s = sp.get();
-      if (s->reactor.uring() == nullptr) {
-        s->reactor.add(s->udp->fd(), net::kEventRead,
-                       [this, s](unsigned) { on_udp_readable(*s); });
-      }
     }
   }
   if (cfg_.enable_tcp) {
@@ -272,33 +148,32 @@ Status EventServerRuntime::start() {
                             [this](unsigned) { on_accept_ready(); });
   }
 
-  // Shard-local worker pools.  workers_per_shard pins each shard's
-  // pool exactly; otherwise the legacy `workers` total is split as
-  // evenly as possible (remainder to the low shards, shards beyond the
-  // total get zero — their queues drain through stealing siblings), so
-  // the spawned thread count equals what the config asked for.  Under
-  // shared_queue every worker homes on shard 0 — the PR 4 shape — but
-  // the total stays identical so A/B runs compare queues, not thread
-  // counts.
+  // Every failure point is behind us: give each shard its I/O driver
+  // and start datagram receive.  The shard threads are not running yet,
+  // so registration from the caller's thread is safe.
+  for (auto& sp : shards_) {
+    sp->driver = ShardDriver::create(*this, *sp);
+    if (sp->udp) sp->driver->start_udp();
+  }
+
+  // Shard-local worker pools: the `workers` total is split as evenly as
+  // possible (remainder to the low shards, shards beyond the total get
+  // zero — their queues drain through stealing siblings), so the
+  // spawned thread count equals what the config asked for.
   worker_count_ = 0;
+  const std::size_t total =
+      static_cast<std::size_t>(cfg_.workers < 1 ? 1 : cfg_.workers);
   for (std::size_t i = 0; i < nshards; ++i) {
-    int count = cfg_.workers_per_shard;
-    if (count < 1) {
-      const std::size_t total =
-          static_cast<std::size_t>(cfg_.workers < 1 ? 1 : cfg_.workers);
-      count = static_cast<int>(total / nshards + (i < total % nshards));
-    }
-    const std::size_t home = cfg_.shared_queue ? 0 : i;
-    Shard& owner = *shards_[home];
-    owner.home_workers += count;
+    const int count = static_cast<int>(total / nshards + (i < total % nshards));
+    Shard& owner = *shards_[i];
+    owner.home_workers = count;
     for (int w = 0; w < count; ++w) {
-      owner.workers.emplace_back([this, home] { worker_loop(home); });
+      owner.workers.emplace_back([this, i] { worker_loop(i); });
     }
     worker_count_ += count;
   }
   for (auto& sp : shards_) {
     Shard* s = sp.get();
-    setup_shard_uring(*s);  // no-op unless this shard's reactor is uring
     s->thread = std::thread([this, s] { shard_loop(*s); });
   }
 
@@ -342,7 +217,8 @@ Status EventServerRuntime::start() {
                        static_cast<std::int64_t>(shards_.size()));
         snap.add_gauge("rpc.workers", worker_count_);
         // Backend as a gauge so dashboards segment runs without string
-        // labels: 0 = poll, 1 = epoll, 2 = uring.
+        // labels: 0 = none, 1 = epoll, 2 = uring (perfbench's net.backend
+        // encoding).
         const char* be = backend();
         snap.add_gauge("rpc.backend", std::strcmp(be, "uring") == 0   ? 2
                                       : std::strcmp(be, "epoll") == 0 ? 1
@@ -367,7 +243,7 @@ void EventServerRuntime::stop() {
   // Phase 2: bounded drain — queued requests finish and their replies
   // are handed back to the still-running shard reactors.
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(cfg_.drain_timeout_ms);
+                        std::chrono::milliseconds(kDrainTimeoutMs);
   while (pending_jobs_.load(std::memory_order_acquire) > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -458,15 +334,14 @@ RuntimeLatencySnapshot EventServerRuntime::latency_snapshot() const {
 }
 
 const char* EventServerRuntime::backend() const {
-  // Only a live shard knows which backend its reactor actually got
-  // (epoll_create1 can fail and fall back); don't guess.
+  // Only a live shard knows which backend its reactor actually got (a
+  // ring that fails to set up falls back to epoll); don't guess.
   return shards_.empty() ? "none" : shards_[0]->reactor.backend();
 }
 
 // ------------------------------------------------------ shard threads ---
 
 void EventServerRuntime::shard_loop(Shard& s) {
-  if (cfg_.pin_shards) pin_thread_to_cpu(s.index);
   while (!reactor_stop_.load(std::memory_order_acquire)) {
     // With conns parked on a full worker queue, tick instead of
     // blocking so their records are re-dispatched as the queue drains
@@ -485,32 +360,19 @@ void EventServerRuntime::shard_loop(Shard& s) {
     auto it = s.conns.find(id);
     if (it != s.conns.end()) flush_conn(s, it->second);
   }
-  for (auto& [id, conn] : s.conns) s.reactor.remove(conn.sock->fd());
+  for (auto& [id, conn] : s.conns) s.driver->remove_conn(conn);
   s.conns.clear();
-  // uring shards: cancel the surviving multishot ops (they hold file
-  // refs past the closes above), wait for every in-flight SQE, then
-  // hand the ring's arena slices back.  Late CQEs for the destroyed
-  // conns are tolerated — the conn-map lookup simply misses.
-  uring_teardown(s);
+  // Whatever the backend still holds (in-flight kernel ops, lent
+  // buffers) is released only once it is provably idle.  Late
+  // completions for the destroyed conns are tolerated — the conn-map
+  // lookup simply misses.
+  s.driver->teardown();
 }
 
 void EventServerRuntime::close_intake(Shard& s) {
   if (s.intake_closed) return;
   s.intake_closed = true;
-  if (s.udp) {
-    s.reactor.remove(s.udp->fd());
-#if TEMPO_HAVE_URING
-    if (s.uring && s.uring->udp_armed) {
-      // Stop the multishot recvmsg.  The cancel's own CQE is ignored;
-      // the recv's terminal CQE clears udp_armed, and uring_drain_end
-      // never re-arms once intake_closed is set.
-      if (net::Uring* ring = s.reactor.uring()) {
-        ring->prep_cancel(net::uring_user_data(kTagUdpRecv, 0),
-                          net::uring_user_data(net::kUringTagIgnore, 0));
-      }
-    }
-#endif
-  }
+  if (s.udp) s.driver->stop_udp();
   if (s.index == 0 && tcp_) s.reactor.remove(tcp_->fd());
   // Records parsed but not yet handed to the pool are dropped here so
   // the stop() drain has a fixed amount of work: exactly the jobs the
@@ -529,22 +391,6 @@ void EventServerRuntime::close_intake(Shard& s) {
     it->second.stalled = false;
     finish_conn_if_idle(s, it->second);
   }
-}
-
-void EventServerRuntime::on_udp_readable(Shard& s) {
-  std::vector<net::Datagram> buf = take_batch_buffer(s);
-  const int n = s.udp->recv_many(buf, cfg_.udp_batch);
-  if (n <= 0) {
-    recycle_batch_buffer(s, std::move(buf));
-    return;
-  }
-  ++stats_.udp_batches;
-  stats_.udp_datagrams += n;
-  // One clock read per recvmmsg, shared by every datagram of the batch.
-  const std::int64_t recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
-  const int accepted = push_datagram_jobs(s, buf, n, recv_ns);
-  if (accepted < n) stats_.overload_drops += n - accepted;
-  recycle_batch_buffer(s, std::move(buf));
 }
 
 void EventServerRuntime::on_accept_ready() {
@@ -594,64 +440,31 @@ void EventServerRuntime::adopt_conn(Shard& s, int fd) {
   c.shard = s.index;
   c.sock = std::move(sock);
   c.ring.resize(pipeline_depth_);
-  const int cfd = c.sock->fd();
-  Shard* sp = &s;
   auto [it, inserted] = s.conns.emplace(id, std::move(c));
-  // uring shards read through a per-conn multishot recv, so the poll
-  // registration starts with no interest (it carries only the write
-  // bit, toggled by set_conn_interest).
-  const unsigned initial = s.uring ? 0u : net::kEventRead;
-  if (!inserted ||
-      !s.reactor.add(cfd, initial, [this, sp, id](unsigned events) {
-        on_conn_event(*sp, id, events);
-      })) {
-    s.conns.erase(id);
-    return;
-  }
-  if (s.uring) uring_sync_conn_recv(s, it->second);
+  if (!inserted || !s.driver->add_conn(it->second)) s.conns.erase(id);
 }
 
-void EventServerRuntime::on_conn_event(Shard& s, std::uint64_t id,
-                                       unsigned events) {
-  // read_conn and flush_conn can both destroy the connection (protocol
-  // violation, write error); re-resolve the map entry after each.
+void EventServerRuntime::on_conn_io(Shard& s, std::uint64_t id,
+                                    bool writable) {
+  // The driver's read and flush_conn can both destroy the connection
+  // (protocol violation, write error); re-resolve the map entry after
+  // each.
   auto it = s.conns.find(id);
   if (it == s.conns.end()) return;
-  if (events & net::kEventRead) {
-    if (s.uring) {
-      // uring conns read via multishot recv — never read_some here (it
-      // would race the kernel for the byte stream).  A read bit can
-      // only arrive through an error-flagged poll completion.
-      if (events & net::kEventError) it->second.peer_eof = true;
-    } else {
-      read_conn(s, it->second);
-    }
+  if (writable) {
+    flush_conn(s, it->second);
+    it = s.conns.find(id);
+    if (it == s.conns.end()) return;
   }
-  it = s.conns.find(id);
-  if (it == s.conns.end()) return;
-  if (events & net::kEventWrite) flush_conn(s, it->second);
-  it = s.conns.find(id);
-  if (it == s.conns.end()) return;
   dispatch_ready(s, it->second);
   finish_conn_if_idle(s, it->second);
 }
 
-void EventServerRuntime::read_conn(Shard& s, Conn& c) {
-  if (c.peer_eof) return;
-  std::uint8_t chunk[kReadChunk];
-  for (int i = 0; i < kMaxReadsPerEvent; ++i) {
-    auto r = c.sock->read_some(MutableByteSpan(chunk, sizeof(chunk)),
-                               /*timeout_ms=*/0);
-    if (!r.is_ok()) {
-      if (r.status().code() != StatusCode::kTimeout) c.peer_eof = true;
-      return;
-    }
-    if (!parse_records(s, c, ByteSpan(chunk, *r))) {
-      ++stats_.conn_resets;
-      destroy_conn(s, c.id);
-      return;
-    }
-  }
+bool EventServerRuntime::feed_conn(Shard& s, Conn& c, ByteSpan bytes) {
+  if (parse_records(s, c, bytes)) return true;
+  ++stats_.conn_resets;
+  destroy_conn(s, c.id);
+  return false;
 }
 
 bool EventServerRuntime::parse_records(Shard& s, Conn& c, ByteSpan chunk) {
@@ -670,7 +483,7 @@ bool EventServerRuntime::parse_records(Shard& s, Conn& c, ByteSpan chunk) {
       c.frag_remaining = word & ~xdr::XdrRec::kLastFragFlag;
       c.frag_header_pending = false;
       const std::size_t full = c.record.len + c.frag_remaining;
-      if (full > cfg_.max_record_bytes) {
+      if (full > kMaxRecordBytes) {
         return false;  // oversized record: cut the peer off
       }
       // Reserve the whole fragment up front: the record buffer is an
@@ -793,7 +606,7 @@ void EventServerRuntime::finish_conn_if_idle(Shard& s, Conn& c) {
   // Backpressure: stop reading a conn whose record backlog is full; TCP
   // flow control stalls the peer until dispatch catches up.
   if (!c.peer_eof && !s.intake_closed &&
-      c.ready_records.size() < cfg_.max_pipelined_records) {
+      c.ready_records.size() < kMaxPipelinedRecords) {
     want |= net::kEventRead;
   }
   if (out_pending) want |= net::kEventWrite;
@@ -803,7 +616,7 @@ void EventServerRuntime::finish_conn_if_idle(Shard& s, Conn& c) {
     destroy_conn(s, c.id);
     return;
   }
-  set_conn_interest(s, c, want);
+  s.driver->set_interest(c, want);
 }
 
 void EventServerRuntime::destroy_conn(Shard& s, std::uint64_t id) {
@@ -819,39 +632,8 @@ void EventServerRuntime::destroy_conn(Shard& s, std::uint64_t id) {
     if (slot.ready) s.arena.recycle(std::move(slot.frame.buf));
   }
   s.arena.recycle(std::move(c.out_buf));
-#if TEMPO_HAVE_URING
-  if (s.uring && c.urecv_armed && !c.urecv_cancel) {
-    // Cancel the multishot recv so its file ref does not outlive the
-    // close below.  armed_recvs balances at its terminal CQE (which
-    // finds no conn — fine).
-    if (net::Uring* ring = s.reactor.uring()) {
-      ring->prep_cancel(net::uring_user_data(kTagTcpRecv, id),
-                        net::uring_user_data(net::kUringTagIgnore, 0));
-    }
-  }
-#endif
-  s.reactor.remove(c.sock->fd());
+  s.driver->remove_conn(c);
   s.conns.erase(it);  // unique_ptr closes the socket
-}
-
-void EventServerRuntime::set_conn_interest(Shard& s, Conn& c,
-                                           unsigned interest) {
-  if (s.uring) {
-    // uring: the fd poll carries ONLY the write bit (reads are a
-    // multishot recv, reconciled below), so a backpressure pause is a
-    // cancel SQE riding the next batch, not an epoll_ctl syscall.
-    const unsigned mask = interest & net::kEventWrite;
-    if ((c.interest & net::kEventWrite) != mask) {
-      s.reactor.set_interest(c.sock->fd(), mask);
-    }
-    c.interest = interest;
-    uring_sync_conn_recv(s, c);
-    return;
-  }
-  if (c.interest == interest) return;
-  if (s.reactor.set_interest(c.sock->fd(), interest)) {
-    c.interest = interest;
-  }
 }
 
 bool EventServerRuntime::append_out(Shard& s, Conn& c, Chunk frame) {
@@ -941,435 +723,11 @@ void EventServerRuntime::on_reply(Shard& s, std::uint64_t conn_id,
   pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-// ------------------------------------------------------ uring backend ---
-
-#if TEMPO_HAVE_URING
-
-void EventServerRuntime::setup_shard_uring(Shard& s) {
-  net::Uring* ring = s.reactor.uring();
-  if (ring == nullptr) return;
-  const unsigned entries = std::bit_ceil(
-      static_cast<unsigned>(cfg_.uring_buffers < 8 ? 8 : cfg_.uring_buffers));
-  if (!ring->setup_buf_ring(entries)) {
-    // No provided buffers: run the recvmmsg path over the uring
-    // reactor's fd polls instead (interest polls work without them).
-    if (s.udp) {
-      Shard* sp = &s;
-      s.reactor.add(s.udp->fd(), net::kEventRead,
-                    [this, sp](unsigned) { on_udp_readable(*sp); });
-    }
-    return;
-  }
-  auto u = std::make_unique<ShardUring>();
-  u->bufs.resize(entries);
-  for (unsigned b = 0; b < entries; ++b) {
-    // One arena slice per ring slot, pinned while the kernel may write
-    // into it (the slice leaves the ring only through a completion).
-    Bytes buf = s.arena.take(net::kMaxDatagramBytes);
-    ring->buf_ring_add(static_cast<unsigned short>(b), buf.data(),
-                       static_cast<unsigned>(buf.size()));
-    s.arena.pin(buf.size());
-    u->bufs[b] = std::move(buf);
-  }
-  ring->buf_ring_commit();
-  s.uring = std::move(u);
-  Shard* sp = &s;
-  s.reactor.set_cqe_handler(
-      [this, sp](std::uint64_t ud, std::int32_t res, std::uint32_t fl) {
-        on_uring_cqe(*sp, ud, res, fl);
-      });
-  s.reactor.set_cqe_drain_hook([this, sp] { uring_drain_end(*sp); });
-  if (s.udp) {
-    s.uring->udp_msg = msghdr{};
-    s.uring->udp_msg.msg_namelen = sizeof(sockaddr_in);
-    if (ring->prep_recvmsg_multishot(s.udp->fd(), &s.uring->udp_msg,
-                                     net::uring_user_data(kTagUdpRecv, 0))) {
-      s.uring->udp_armed = true;
-      s.uring->armed_recvs.insert(net::uring_user_data(kTagUdpRecv, 0));
-    }
-  }
-}
-
-void EventServerRuntime::on_uring_cqe(Shard& s, std::uint64_t ud,
-                                      std::int32_t res, std::uint32_t flags) {
-  if (!s.uring) return;
-  switch (net::uring_tag(ud)) {
-    case kTagUdpRecv:
-      on_udp_recv_cqe(s, res, flags);
-      break;
-    case kTagTcpRecv:
-      on_tcp_recv_cqe(s, net::uring_payload(ud), res, flags);
-      break;
-    case kTagUdpSend:
-      on_udp_send_cqe(s, net::uring_payload(ud), res);
-      break;
-    case kTagTcpCancel: {
-      // A backpressure cancel finished: reconcile the conn's read state
-      // (re-arms immediately if dispatch already caught up).
-      auto it = s.conns.find(net::uring_payload(ud));
-      if (it != s.conns.end()) {
-        it->second.urecv_cancel = false;
-        uring_sync_conn_recv(s, it->second);
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
-void EventServerRuntime::on_udp_recv_cqe(Shard& s, std::int32_t res,
-                                         std::uint32_t flags) {
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  if ((flags & IORING_CQE_F_MORE) == 0) {
-    // Terminal completion (cancel, transient error, or the buffer ring
-    // ran dry): the multishot op is gone; uring_drain_end re-arms it
-    // after the refills below unless intake has closed.
-    u.udp_armed = false;
-    u.armed_recvs.erase(net::uring_user_data(kTagUdpRecv, 0));
-    if (res < 0 && res != -ECANCELED && (flags & IORING_CQE_F_BUFFER) == 0) {
-      ++u.udp_arm_errors;
-    }
-  }
-  if (res < 0 || (flags & IORING_CQE_F_BUFFER) == 0) return;
-  u.udp_arm_errors = 0;
-  const unsigned bid = flags >> IORING_CQE_BUFFER_SHIFT;
-  if (bid >= u.bufs.size()) return;
-  Bytes& slice = u.bufs[bid];
-  // Completion layout (validated by Uring::supported's probe): the
-  // selected buffer holds io_uring_recvmsg_out, then msg_namelen bytes
-  // of source address, then the datagram payload.
-  io_uring_recvmsg_out out{};
-  bool drop = static_cast<std::size_t>(res) < sizeof(out);
-  std::size_t off = 0;
-  if (!drop) {
-    std::memcpy(&out, slice.data(), sizeof(out));
-    off = sizeof(out) + sizeof(sockaddr_in);
-    drop = (out.flags & MSG_TRUNC) != 0 ||  // datagram larger than a slot
-           out.namelen > sizeof(sockaddr_in) ||
-           off + out.payloadlen > static_cast<std::size_t>(res);
-  }
-  if (drop || s.intake_closed) {
-    // Drop the datagram, keep the slice on the ring.
-    ring->buf_ring_add(static_cast<unsigned short>(bid), slice.data(),
-                       static_cast<unsigned>(slice.size()));
-    return;
-  }
-  sockaddr_in src{};
-  std::memcpy(&src, slice.data() + sizeof(out), sizeof(src));
-  if (u.pending.empty()) {
-    // One clock read per CQ drain, shared by the whole batch — the
-    // recvmmsg stamp discipline.
-    u.pending_recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
-  }
-  UdpDatagramJob job;
-  job.shard = s.index;
-  job.src = addr_from_sockaddr(src);
-  job.len = out.payloadlen;
-  job.off = off;  // payload stays where the kernel wrote it — no memmove
-  job.recv_ns = u.pending_recv_ns;
-  // The kernel is done with this slice: it leaves the ring (unpin) and
-  // travels to a worker; a fresh arena slice takes over its slot.
-  s.arena.unpin(slice.size());
-  job.payload = std::move(slice);
-  Bytes fresh = s.arena.take(net::kMaxDatagramBytes);
-  s.arena.pin(fresh.size());
-  ring->buf_ring_add(static_cast<unsigned short>(bid), fresh.data(),
-                     static_cast<unsigned>(fresh.size()));
-  u.bufs[bid] = std::move(fresh);
-  u.pending.push_back(std::move(job));
-}
-
-void EventServerRuntime::on_tcp_recv_cqe(Shard& s, std::uint64_t conn_id,
-                                         std::int32_t res,
-                                         std::uint32_t flags) {
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  const std::uint64_t ud = net::uring_user_data(kTagTcpRecv, conn_id);
-  if ((flags & IORING_CQE_F_MORE) == 0) u.armed_recvs.erase(ud);
-  auto it = s.conns.find(conn_id);
-  Conn* c = it == s.conns.end() ? nullptr : &it->second;
-  if (c && (flags & IORING_CQE_F_MORE) == 0) c->urecv_armed = false;
-  if (res == 0 && c) c->peer_eof = true;
-  if ((flags & IORING_CQE_F_BUFFER) != 0) {
-    const unsigned bid = flags >> IORING_CQE_BUFFER_SHIFT;
-    if (bid < u.bufs.size()) {
-      Bytes& slice = u.bufs[bid];
-      bool ok = true;
-      if (c && res > 0) {
-        // parse_records copies into the conn's record buffer, so the
-        // slice goes straight back on the ring — a TCP completion never
-        // takes a buffer off the ring for good.
-        ok = parse_records(
-            s, *c, ByteSpan(slice.data(), static_cast<std::size_t>(res)));
-      }
-      ring->buf_ring_add(static_cast<unsigned short>(bid), slice.data(),
-                         static_cast<unsigned>(slice.size()));
-      if (c && !ok) {
-        ++stats_.conn_resets;
-        destroy_conn(s, conn_id);
-        return;
-      }
-    }
-  } else if (c && res < 0 && res != -ENOBUFS && res != -ECANCELED) {
-    c->peer_eof = true;  // hard socket error
-  }
-  // -ENOBUFS (ring momentarily dry) falls through: the terminal
-  // accounting above disarmed the op and the reconcile below re-arms
-  // it; buffers return as dispatch drains.
-  auto again = s.conns.find(conn_id);
-  if (again == s.conns.end()) return;
-  dispatch_ready(s, again->second);
-  auto fin = s.conns.find(conn_id);
-  if (fin != s.conns.end()) finish_conn_if_idle(s, fin->second);
-}
-
-void EventServerRuntime::on_udp_send_cqe(Shard& s, std::uint64_t slot,
-                                         std::int32_t res) {
-  ShardUring& u = *s.uring;
-  if (slot >= u.sends.size()) return;
-  ShardUring::SendOp& op = u.sends[slot];
-  if (res < 0) {
-    // A failed link cancels the rest of its chain (-ECANCELED), so each
-    // member gets one synchronous retry — mirroring the sendmmsg-tail
-    // retry of the epoll path.
-    ++stats_.reply_send_retries;
-    if (!s.udp ||
-        !s.udp->send_to(op.addr, ByteSpan(op.buf.data(), op.len)).is_ok()) {
-      ++stats_.reply_send_failures;
-    } else if (op.recv_ns > 0) {
-      s.udp_e2e_hist.record(common::monotonic_ns() - op.recv_ns);
-    }
-  } else if (op.recv_ns > 0) {
-    s.udp_e2e_hist.record(common::monotonic_ns() - op.recv_ns);
-  }
-  s.arena.recycle(std::move(op.buf));
-  op.buf = Bytes();
-  u.free_slots.push_back(static_cast<std::size_t>(slot));
-  --u.inflight_sends;
-  pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void EventServerRuntime::uring_sync_conn_recv(Shard& s, Conn& c) {
-  if (!s.uring) return;
-  if (c.urecv_cancel) return;  // reconcile again when the cancel lands
-  net::Uring* ring = s.reactor.uring();
-  const bool want =
-      (c.interest & net::kEventRead) != 0 && !c.peer_eof && !s.intake_closed;
-  const std::uint64_t ud = net::uring_user_data(kTagTcpRecv, c.id);
-  if (want && !c.urecv_armed) {
-    if (ring->prep_recv_multishot(c.sock->fd(), ud)) {
-      c.urecv_armed = true;
-      s.uring->armed_recvs.insert(ud);
-    }
-  } else if (!want && c.urecv_armed) {
-    if (ring->prep_cancel(ud, net::uring_user_data(kTagTcpCancel, c.id))) {
-      c.urecv_cancel = true;
-    }
-  }
-}
-
-void EventServerRuntime::uring_send_bucket(Shard& s,
-                                           std::vector<UdpReply> bucket) {
-  if (!s.uring || !s.udp) {
-    // Shard lost its ring between post and run (teardown race): finish
-    // the replies synchronously so nothing leaks or stays pending.
-    for (auto& r : bucket) {
-      if (!s.udp ||
-          !s.udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len)).is_ok()) {
-        ++stats_.reply_send_failures;
-      }
-      s.arena.recycle(std::move(r.buf));
-      pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    return;
-  }
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  const std::size_t n = bucket.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    UdpReply& r = bucket[i];
-    std::size_t slot;
-    if (!u.free_slots.empty()) {
-      slot = u.free_slots.back();
-      u.free_slots.pop_back();
-    } else {
-      slot = u.sends.size();
-      u.sends.emplace_back();  // deque: existing slot addresses survive
-    }
-    ShardUring::SendOp& op = u.sends[slot];
-    op.addr = r.dst;
-    op.dst = addr_to_sockaddr(r.dst);
-    op.buf = std::move(r.buf);
-    op.len = r.len;
-    op.recv_ns = r.recv_ns;
-    op.iov.iov_base = op.buf.data();
-    op.iov.iov_len = op.len;
-    op.mh = msghdr{};
-    op.mh.msg_name = &op.dst;
-    op.mh.msg_namelen = sizeof(op.dst);
-    op.mh.msg_iov = &op.iov;
-    op.mh.msg_iovlen = 1;
-    // Linked chain: the bucket rides one submission like one sendmmsg;
-    // the last SQE is unlinked to close the chain.
-    if (!ring->prep_sendmsg(s.udp->fd(), &op.mh,
-                            net::uring_user_data(kTagUdpSend, slot),
-                            /*link=*/i + 1 < n)) {
-      ++stats_.reply_send_retries;
-      if (!s.udp->send_to(op.addr, ByteSpan(op.buf.data(), op.len)).is_ok()) {
-        ++stats_.reply_send_failures;
-      }
-      s.arena.recycle(std::move(op.buf));
-      op.buf = Bytes();
-      u.free_slots.push_back(slot);
-      pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-      continue;
-    }
-    ++u.inflight_sends;
-  }
-}
-
-void EventServerRuntime::uring_drain_end(Shard& s) {
-  if (!s.uring) return;
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  if (!u.pending.empty()) {
-    // Push the whole drain's datagrams under ONE queue lock — the
-    // batching recvmmsg gave the epoll path, recovered at the CQ drain
-    // boundary.
-    const int n = static_cast<int>(u.pending.size());
-    ++stats_.udp_batches;
-    stats_.udp_datagrams += n;
-    Shard& t = job_queue_shard(s.index);
-    int accepted = 0;
-    {
-      std::lock_guard<std::mutex> lock(t.q_mu);
-      while (accepted < n && t.queue.size() < cfg_.queue_capacity) {
-        t.queue.push_back(
-            std::move(u.pending[static_cast<std::size_t>(accepted)]));
-        ++accepted;
-      }
-    }
-    if (accepted > 0) {
-      pending_jobs_.fetch_add(accepted, std::memory_order_acq_rel);
-      t.q_cv.notify_all();
-      // A burst is a backlog by construction: let siblings help.
-      if (accepted > 1 || t.home_workers == 0) wake_stealer(t.index);
-    }
-    if (accepted < n) {
-      stats_.overload_drops += n - accepted;
-      for (int i = accepted; i < n; ++i) {
-        s.arena.recycle(
-            std::move(u.pending[static_cast<std::size_t>(i)].payload));
-      }
-    }
-    u.pending.clear();
-  }
-  // Re-arm the UDP multishot if a terminal CQE took it down and intake
-  // is still open (after the refills above, so ENOBUFS cannot recur
-  // immediately).
-  if (s.udp && !u.udp_armed && !s.intake_closed &&
-      !reactor_stop_.load(std::memory_order_acquire)) {
-    if (u.udp_arm_errors > 3) {
-      // A burst of no-data terminal errors: decay one per drain so the
-      // retry runs at poll-timeout pace, not syscall-speed.
-      --u.udp_arm_errors;
-    } else if (ring->prep_recvmsg_multishot(
-                   s.udp->fd(), &u.udp_msg,
-                   net::uring_user_data(kTagUdpRecv, 0))) {
-      u.udp_armed = true;
-      u.armed_recvs.insert(net::uring_user_data(kTagUdpRecv, 0));
-    }
-  }
-  // Publish every buf_ring_add staged during this drain in one
-  // release-store; the SQEs above ride poll_once's single submit.
-  ring->buf_ring_commit();
-}
-
-void EventServerRuntime::uring_teardown(Shard& s) {
-  if (!s.uring) return;
-  ShardUring& u = *s.uring;
-  net::Uring* ring = s.reactor.uring();
-  // Cancel every armed multishot receive (the conns are already gone;
-  // an op holds a file ref past its fd's close).
-  for (const std::uint64_t ud : u.armed_recvs) {
-    ring->prep_cancel(ud, net::uring_user_data(net::kUringTagIgnore, 0));
-  }
-  // Bounded drain: a CQE is the kernel's promise it no longer
-  // references the op's memory, so every in-flight SQE must complete
-  // before its buffers are touched.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
-  while ((!u.armed_recvs.empty() || u.inflight_sends > 0) &&
-         std::chrono::steady_clock::now() < deadline) {
-    s.reactor.poll_once(10);
-  }
-  for (auto& j : u.pending) s.arena.recycle(std::move(j.payload));
-  u.pending.clear();
-  if (u.armed_recvs.empty() && u.inflight_sends == 0) {
-    for (auto& b : u.bufs) {
-      if (b.empty()) continue;
-      s.arena.unpin(b.size());
-      s.arena.recycle(std::move(b));
-    }
-  } else {
-    // Deadline hit with ops still in flight: the kernel may yet write
-    // into these buffers.  NEVER recycle memory under kernel ownership —
-    // park it for the life of the process instead (reachable, so leak
-    // checkers stay quiet; the ring fd's close will quiesce the ops).
-    static std::mutex sink_mu;
-    static std::vector<Bytes>* sink = new std::vector<Bytes>();
-    std::lock_guard<std::mutex> lock(sink_mu);
-    for (auto& b : u.bufs) {
-      if (b.empty()) continue;
-      s.arena.unpin(b.size());
-      sink->push_back(std::move(b));
-    }
-    for (auto& op : u.sends) {
-      if (!op.buf.empty()) sink->push_back(std::move(op.buf));
-    }
-  }
-  u.bufs.clear();
-  u.sends.clear();
-  s.uring.reset();
-}
-
-#else  // !TEMPO_HAVE_URING
-
-void EventServerRuntime::setup_shard_uring(Shard&) {}
-void EventServerRuntime::on_uring_cqe(Shard&, std::uint64_t, std::int32_t,
-                                      std::uint32_t) {}
-void EventServerRuntime::on_udp_recv_cqe(Shard&, std::int32_t,
-                                         std::uint32_t) {}
-void EventServerRuntime::on_tcp_recv_cqe(Shard&, std::uint64_t, std::int32_t,
-                                         std::uint32_t) {}
-void EventServerRuntime::on_udp_send_cqe(Shard&, std::uint64_t,
-                                         std::int32_t) {}
-void EventServerRuntime::uring_sync_conn_recv(Shard&, Conn&) {}
-void EventServerRuntime::uring_send_bucket(Shard& s,
-                                           std::vector<UdpReply> bucket) {
-  // Unreachable without the uring backend (no shard ever has s.uring),
-  // but keep the replies accounted if it ever is.
-  for (auto& r : bucket) {
-    if (!s.udp ||
-        !s.udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len)).is_ok()) {
-      ++stats_.reply_send_failures;
-    }
-    s.arena.recycle(std::move(r.buf));
-    pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-void EventServerRuntime::uring_drain_end(Shard&) {}
-void EventServerRuntime::uring_teardown(Shard&) {}
-
-#endif  // TEMPO_HAVE_URING
-
 // ------------------------------------------------------- worker side ---
 
 void EventServerRuntime::wake_stealer(std::size_t except) {
   const std::size_t nshards = shards_.size();
-  if (nshards < 2 || cfg_.shared_queue) return;
+  if (nshards < 2) return;
   // Skip the pushing shard and any shard with no workers of its own
   // (possible when cfg.workers < reactors): notifying a cv nobody
   // waits on would leave the job to the 50ms fallback tick.
@@ -1383,7 +741,7 @@ void EventServerRuntime::wake_stealer(std::size_t except) {
 }
 
 bool EventServerRuntime::push_job(std::size_t origin, Job& job) {
-  Shard& t = job_queue_shard(origin);
+  Shard& t = *shards_[origin];
   std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(t.q_mu);
@@ -1400,34 +758,33 @@ bool EventServerRuntime::push_job(std::size_t origin, Job& job) {
   return true;
 }
 
-int EventServerRuntime::push_datagram_jobs(Shard& s,
-                                           std::vector<net::Datagram>& batch,
-                                           int n, std::int64_t recv_ns) {
-  Shard& t = job_queue_shard(s.index);
+void EventServerRuntime::push_datagram_jobs(
+    Shard& s, std::vector<UdpDatagramJob>& jobs) {
+  const int n = static_cast<int>(jobs.size());
+  if (n == 0) return;
+  ++stats_.udp_batches;
+  stats_.udp_datagrams += n;
   int accepted = 0;
   {
-    std::lock_guard<std::mutex> lock(t.q_mu);
-    while (accepted < n && t.queue.size() < cfg_.queue_capacity) {
-      auto& d = batch[static_cast<std::size_t>(accepted)];
-      t.queue.push_back(UdpDatagramJob{s.index, d.src, std::move(d.payload),
-                                       d.len, recv_ns});
+    std::lock_guard<std::mutex> lock(s.q_mu);
+    while (accepted < n && s.queue.size() < cfg_.queue_capacity) {
+      s.queue.push_back(std::move(jobs[static_cast<std::size_t>(accepted)]));
       ++accepted;
     }
   }
   if (accepted > 0) {
     pending_jobs_.fetch_add(accepted, std::memory_order_acq_rel);
-    t.q_cv.notify_all();
+    s.q_cv.notify_all();
     // A burst is a backlog by construction: let siblings help.
-    if (accepted > 1 || t.home_workers == 0) wake_stealer(t.index);
+    if (accepted > 1 || s.home_workers == 0) wake_stealer(s.index);
   }
-  // Refill the moved-out slots from this shard's arena (buffers the
-  // workers finished with come back here) so the next recv_many
-  // neither allocates nor zero-fills in steady state.
-  for (int i = 0; i < accepted; ++i) {
-    batch[static_cast<std::size_t>(i)].payload =
-        s.arena.take(net::kMaxDatagramBytes);
+  if (accepted < n) {
+    stats_.overload_drops += n - accepted;
+    for (int i = accepted; i < n; ++i) {
+      s.arena.recycle(std::move(jobs[static_cast<std::size_t>(i)].payload));
+    }
   }
-  return accepted;
+  jobs.clear();
 }
 
 bool EventServerRuntime::try_pop(std::size_t shard_idx, Job& out) {
@@ -1440,12 +797,11 @@ bool EventServerRuntime::try_pop(std::size_t shard_idx, Job& out) {
 }
 
 void EventServerRuntime::worker_loop(std::size_t home) {
-  if (cfg_.pin_shards) pin_thread_to_cpu(home);
   // Per-worker reply accumulator: datagram replies collect here and go
-  // out in one sendmmsg per originating shard when the queues run dry,
-  // a TCP job interleaves, or a full recvmmsg batch's worth has piled
-  // up.  Scheduling stays one-job-per-pop so a burst still fans out
-  // across the pool; only the SEND syscall is batched.
+  // out as one batch per originating shard when the queues run dry, a
+  // TCP job interleaves, or a full receive batch's worth has piled up.
+  // Scheduling stays one-job-per-pop so a burst still fans out across
+  // the pool; only the SEND syscall is batched.
   ReplyAccumulator acc;
   acc.per_shard.resize(shards_.size());
   Shard& h = *shards_[home];
@@ -1457,9 +813,8 @@ void EventServerRuntime::worker_loop(std::size_t home) {
   // held for the worker's lifetime (see serve_tcp_request).
   Bytes stream_scratch;
   const std::size_t nshards = shards_.size();
-  // Stealing is pointless under shared_queue (every queue but 0 stays
-  // empty) and with a single shard.
-  const bool can_steal = nshards > 1 && !cfg_.shared_queue;
+  // Stealing is pointless with a single shard.
+  const bool can_steal = nshards > 1;
   // Set when the last cv wait expired without a notify: a steal found
   // right after it means the periodic tick, not a wakeup, rescued the
   // job (stats().tick_steals — meant to stay at zero).
@@ -1498,8 +853,7 @@ void EventServerRuntime::worker_loop(std::size_t home) {
           // Sibling backlogs signal this cv through wake_stealer; the
           // timeout is only a fallback for a wakeup that raced the
           // wait, so idle workers cost ~1000/tick wakeups/s, not 1000.
-          const int tick = cfg_.steal_tick_ms < 1 ? 50 : cfg_.steal_tick_ms;
-          if (h.q_cv.wait_for(lock, std::chrono::milliseconds(tick)) ==
+          if (h.q_cv.wait_for(lock, std::chrono::milliseconds(kStealTickMs)) ==
               std::cv_status::timeout) {
             tick_wakeup = true;
           }
@@ -1518,8 +872,7 @@ void EventServerRuntime::worker_loop(std::size_t home) {
     }
     if (auto* d = std::get_if<UdpDatagramJob>(&job)) {
       serve_udp_datagram(*d, acc, worker_id);
-      if (acc.total >= static_cast<std::size_t>(
-                           cfg_.udp_batch < 1 ? 1 : cfg_.udp_batch)) {
+      if (acc.total >= static_cast<std::size_t>(kUdpBatch)) {
         flush_udp_replies(acc);
       }
     } else if (auto* t = std::get_if<TcpRequestJob>(&job)) {
@@ -1575,7 +928,7 @@ void EventServerRuntime::serve_udp_datagram(UdpDatagramJob& job,
       UdpReply{job.src, std::move(out), n, job.recv_ns});
   ++acc.total;
   if (traced) {
-    // The actual sendmmsg is batched later; this flush stage covers
+    // The actual send is batched later; this flush stage covers
     // handing the reply to the accumulator.
     common::trace_mark(common::TraceStage::kFlush);
     common::trace_end();
@@ -1584,70 +937,13 @@ void EventServerRuntime::serve_udp_datagram(UdpDatagramJob& job,
 
 void EventServerRuntime::flush_udp_replies(ReplyAccumulator& acc) {
   if (acc.total == 0) return;
-  // Reused per worker thread: the flush path, like the receive path,
-  // must not allocate in steady state.
-  thread_local std::vector<net::OutDatagram> msgs;
   for (std::size_t si = 0; si < acc.per_shard.size(); ++si) {
     auto& bucket = acc.per_shard[si];
     if (bucket.empty()) continue;
-    Shard* shard = shards_[si].get();
-    if (shard->uring) {
-      // uring shard: hand the whole bucket to the owning reactor, which
-      // turns it into one linked SQE chain (the sendmmsg analogue).
-      // The e2e stamp, buffer recycle, and pending_jobs_ decrement all
-      // happen per send CQE, so stop()'s drain covers in-flight SQEs.
-      ++stats_.udp_reply_batches;
-      shard->reactor.post([this, shard, b = std::move(bucket)]() mutable {
-        uring_send_bucket(*shard, std::move(b));
-      });
-      bucket.clear();
-      continue;
-    }
-    const int total = static_cast<int>(bucket.size());
-    msgs.resize(bucket.size());
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      msgs[i].dst = bucket[i].dst;
-      msgs[i].payload = ByteSpan(bucket[i].buf.data(), bucket[i].len);
-    }
-    ++stats_.udp_reply_batches;
-    const int sent = shard->udp->send_many(msgs.data(), total);
-    if (sent > 0 && metrics_on_) {
-      // One clock read per flush covers the whole sent prefix; e2e is
-      // recorded only for replies that actually left (the stress books
-      // equate histogram totals with successful sends).
-      const std::int64_t now = common::monotonic_ns();
-      for (int i = 0; i < sent; ++i) {
-        const auto& r = bucket[static_cast<std::size_t>(i)];
-        if (r.recv_ns > 0) shard->udp_e2e_hist.record(now - r.recv_ns);
-      }
-    }
-    if (sent < total) {
-      // The kernel refused the tail (EWOULDBLOCK on the non-blocking
-      // socket, ENOBUFS, ...).  Retry once on the owning shard's
-      // reactor thread instead of dropping silently; what it still
-      // refuses is counted.
-      stats_.reply_send_retries += total - sent;
-      std::vector<UdpReply> tail(
-          std::make_move_iterator(bucket.begin() + sent),
-          std::make_move_iterator(bucket.end()));
-      shard->reactor.post([this, shard, tail = std::move(tail)]() mutable {
-        for (auto& r : tail) {
-          if (!shard->udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len))
-                   .is_ok()) {
-            ++stats_.reply_send_failures;
-          } else if (r.recv_ns > 0) {
-            // recv_ns > 0 implies metrics were on when it was stamped.
-            shard->udp_e2e_hist.record(common::monotonic_ns() - r.recv_ns);
-          }
-          shard->arena.recycle(std::move(r.buf));
-        }
-      });
-    }
-    for (int i = 0; i < sent; ++i) {
-      shard->arena.recycle(
-          std::move(bucket[static_cast<std::size_t>(i)].buf));
-    }
-    pending_jobs_.fetch_sub(total, std::memory_order_acq_rel);
+    // The driver takes every buffer; the e2e stamp, buffer recycle and
+    // pending_jobs_ decrement happen once each reply has left (or
+    // failed), so stop()'s drain covers sends in flight.
+    shards_[si]->driver->send_replies(bucket);
     bucket.clear();
   }
   acc.total = 0;
@@ -1664,11 +960,11 @@ void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
   // not bounded by the request (a read-style proc turns a 100-byte call
   // into a big blob), so the SCRATCH provisions kMaxStreamReplyBytes
   // like every other stream-path adapter — once per worker, not per
-  // request — and additionally scales with the record so a non-default
-  // max_record_bytes config keeps its echo-style replies too.  Only the
-  // framed bytes travel onward, in a frame sized to the reply: a deep
-  // pipeline keeps many replies in flight, and they must circulate as
-  // small arena slices, not per-request 1 MB provisions.
+  // request; it covers reply_capacity() of any record parse_records
+  // admits.  Only the framed bytes travel onward, in a frame sized to
+  // the reply: a deep pipeline keeps many replies in flight, and they
+  // must circulate as small arena slices, not per-request 1 MB
+  // provisions.
   Shard& origin = *shards_[job.shard];
   const std::int64_t pop_ns = metrics_on_ ? common::monotonic_ns() : 0;
   const std::int64_t queue_wait =
@@ -1685,15 +981,13 @@ void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
                    queue_wait);
     traced = true;
   }
-  const std::size_t cap =
-      std::max(kMaxStreamReplyBytes, reply_capacity(job.record.len));
-  if (scratch.size() < 4 + cap) {
+  if (scratch.size() < 4 + kMaxStreamReplyBytes) {
     scratch_arena.recycle(std::move(scratch));
-    scratch = scratch_arena.take(4 + cap);
+    scratch = scratch_arena.take(4 + kMaxStreamReplyBytes);
   }
   const std::size_t len = registry_.handle_request(
       ByteSpan(job.record.buf.data(), job.record.len),
-      MutableByteSpan(scratch.data() + 4, cap));
+      MutableByteSpan(scratch.data() + 4, kMaxStreamReplyBytes));
   origin.arena.recycle(std::move(job.record.buf));
   if (metrics_on_) origin.handle_hist.record(common::monotonic_ns() - pop_ns);
   Chunk frame;
@@ -1723,27 +1017,6 @@ void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
     common::trace_mark(common::TraceStage::kFlush);
     common::trace_end();
   }
-}
-
-std::vector<net::Datagram> EventServerRuntime::take_batch_buffer(Shard& s) {
-  if (s.batch_pool.empty()) {
-    // Cold batch: pre-fill every slot from the arena so recv_many
-    // never allocates its own kMaxDatagramBytes payloads — those are
-    // off-class (65000 is not a power of two) and would demote to the
-    // 32 KiB class on recycle instead of serving later payload takes.
-    std::vector<net::Datagram> buf(
-        static_cast<std::size_t>(cfg_.udp_batch < 1 ? 1 : cfg_.udp_batch));
-    for (auto& d : buf) d.payload = s.arena.take(net::kMaxDatagramBytes);
-    return buf;
-  }
-  auto buf = std::move(s.batch_pool.back());
-  s.batch_pool.pop_back();
-  return buf;
-}
-
-void EventServerRuntime::recycle_batch_buffer(Shard& s,
-                                              std::vector<net::Datagram> buf) {
-  if (s.batch_pool.size() < 4) s.batch_pool.push_back(std::move(buf));
 }
 
 }  // namespace tempo::rpc

@@ -1,28 +1,22 @@
-// EventServerRuntime — the reactor-based successor of ServerRuntime.
+// EventServerRuntime — the concurrent Sun RPC server runtime.
 //
-// ServerRuntime (svc.h) burns one blocking thread per listener and
-// parks a whole worker on each TCP connection, so a peer that trickles
-// bytes pins a worker for its connection's lifetime.  This runtime puts
-// every socket behind net::Reactor shards instead, and keeps a
-// request's whole life — recv, decode, specialize-lookup, execute,
-// reply — on one shard:
+// Every socket sits behind net::Reactor shards, and a request's whole
+// life — recv, decode, specialize-lookup, execute, reply — stays on one
+// shard:
 //
 //   * N reactor shards (cfg.reactors), each with its OWN event loop
 //     thread, its own SO_REUSEPORT-bound UDP socket (the kernel
 //     disperses inbound datagrams across the group by flow hash), its
 //     own partition of the accepted TCP connections, its own
 //     common::BufferArena feeding every request/reply buffer, AND its
-//     own worker pool (cfg.workers_per_shard) with its own bounded job
-//     queue — the per-request path crosses no global lock.  Idle
-//     workers steal from sibling shards' queues so a skewed flow-hash
-//     dispersal cannot strand capacity (stats().work_steals counts);
-//     cfg.shared_queue collapses all queues onto shard 0 for A/B
-//     comparison against the PR 4 single-shared-queue shape;
-//   * every UDP socket is non-blocking and drained in recvmmsg batches —
-//     one syscall per burst, not per datagram — and replies flush back
-//     out through per-worker, per-shard accumulators and sendmmsg
-//     (UdpSocket::send_many) on the shard that received the request, so
-//     a burst pairs one syscall per batch in BOTH directions;
+//     own worker pool with its own bounded job queue — the per-request
+//     path crosses no global lock.  Idle workers steal from sibling
+//     shards' queues so a skewed flow-hash dispersal cannot strand
+//     capacity (stats().work_steals counts);
+//   * datagrams arrive in batches — one syscall (or one CQ drain) per
+//     burst, not per datagram — and replies flush back out through
+//     per-worker, per-shard accumulators on the shard that received the
+//     request, so a burst pairs one batch in BOTH directions;
 //   * the TCP listener lives on shard 0; an accepted connection is
 //     handed round-robin to its owning shard by posting the socket to
 //     that shard's reactor, which wraps and owns it from then on.  Each
@@ -44,8 +38,14 @@
 //
 // Because a TCP request reaches the worker as one contiguous record,
 // argument decode goes through XdrMem — XDR_INLINE succeeds and the
-// residual-plan fast path engages on TCP too, which the xdrrec stream
-// of the threaded runtime could never offer.
+// residual-plan fast path engages on TCP too, which an xdrrec stream
+// (rpc::TcpServer) can never offer.
+//
+// The I/O seam: this class is the backend-agnostic shard core.  How
+// bytes move — readiness + recvmmsg/read/sendmmsg on epoll, or
+// multishot receives into a registered buffer ring plus linked sends on
+// io_uring — belongs to one ShardDriver per shard (shard_driver.h);
+// the core never tests which backend it runs on.
 //
 // Ownership (see src/net/README.md for the full model): each shard's
 // reactor thread exclusively owns that shard's connection state;
@@ -80,31 +80,15 @@
 
 namespace tempo::rpc {
 
-// Reactor backend every shard uses.  kAuto prefers io_uring when the
-// running kernel supports everything the backend needs (multishot
-// recv + provided buffer rings, probed once at startup) and otherwise
-// falls back to epoll — kernels without io_uring, seccomp-filtered
-// containers, and the TEMPO_URING=0 kill switch all land on the epoll
-// path with no configuration change.
-enum class EventBackend { kAuto, kEpoll, kPoll, kUring };
-
 struct EventServerRuntimeConfig {
   // Total workers across all shards, split as evenly as possible
   // (remainder to the low shards; with workers < reactors the high
   // shards get none and their queues drain through stealing siblings).
-  // Ignored when workers_per_shard is set.
   int workers = 4;
-  // Exact worker count PER SHARD; 0 derives it from `workers`.
-  int workers_per_shard = 0;
   // Reactor shards.  Each shard runs its own event loop thread with its
   // own SO_REUSEPORT UDP socket, its own slice of the TCP connections,
-  // its own worker pool + job queue and its own buffer arena; 1 keeps
-  // the single-loop behaviour of PR 2/3.
+  // its own worker pool + job queue and its own buffer arena.
   int reactors = 1;
-  // A/B knob: route every job through shard 0's queue (the PR 4 shape —
-  // one shared queue serving all shards) instead of shard-local queues.
-  // Workers all home on shard 0; the bench compares the two.
-  bool shared_queue = false;
   // Requests of ONE TCP connection allowed in flight concurrently; the
   // per-connection reply ring keeps wire order.  1 restores strictly
   // serial per-connection execution.
@@ -113,48 +97,18 @@ struct EventServerRuntimeConfig {
   std::uint16_t tcp_port = 0;
   bool enable_udp = true;
   bool enable_tcp = true;
-  // Capacity of EACH shard's job queue (of the one shared queue under
-  // shared_queue).
+  // Capacity of EACH shard's job queue.
   std::size_t queue_capacity = 1024;
-  // Datagrams pulled per recvmmsg syscall.
-  int udp_batch = 32;
-  // Per-connection caps; a peer exceeding either is reset.
-  std::size_t max_record_bytes = 1u << 20;
+  // Per-connection cap on buffered reply bytes; a peer that stops
+  // reading past it is reset.
   std::size_t max_write_buffer = 4u << 20;
-  // Backpressure: once this many complete records queue on one
-  // connection, the reactor stops reading it (TCP flow control pushes
-  // back on the peer) until dispatch catches up.
-  std::size_t max_pipelined_records = 64;
-  // Reactor backend (see EventBackend).  kUring is a hard request: if
-  // the kernel probe fails the shard reactors fall back to epoll and
+  // Reactor backend every shard uses.  kAuto prefers io_uring when the
+  // running kernel supports everything the backend needs (probed once)
+  // and otherwise falls back to epoll — kernels without io_uring,
+  // seccomp-filtered containers, and the TEMPO_URING=0 kill switch all
+  // land on epoll with no configuration change.  kEpoll pins epoll.
   // backend() reports what actually runs.
-  EventBackend backend = EventBackend::kAuto;
-  // uring only: IORING_SETUP_SQPOLL — a kernel thread consumes the SQ,
-  // so a steady-state burst submits with ZERO syscalls (the enter only
-  // waits for completions).  Costs one spinning kernel thread per
-  // shard; off by default.
-  bool sqpoll = false;
-  // uring only: provided-buffer ring slots per shard (rounded to a
-  // power of two).  Each slot holds one arena slice of the datagram
-  // size class, shared by UDP and TCP multishot receives.
-  int uring_buffers = 64;
-  // Pin each shard's reactor thread and its home workers to CPU
-  // (shard_index % hardware_concurrency).  Keeps a request's cache
-  // lines on one core end to end; off by default because it backfires
-  // on oversubscribed hosts.
-  bool pin_shards = false;
-  // Idle workers re-sweep sibling queues after this many ms even
-  // without a wakeup.  Stealing is wakeup-driven (push paths notify a
-  // sibling); the tick is only the safety net, and stats().tick_steals
-  // counts how often it actually rescued a job.
-  int steal_tick_ms = 50;
-  // Test hook: exercise the portable poll(2) backend on Linux too.
-  // Equivalent to backend = kPoll (kept for older call sites; wins
-  // over `backend` when set).
-  bool force_poll_backend = false;
-  // stop() waits this long for queued work to finish before tearing
-  // down the pool.
-  int drain_timeout_ms = 2000;
+  net::ReactorBackend backend = net::ReactorBackend::kAuto;
   // Request-stage tracing: trace 1 in trace_sample requests (0 = off;
   // falls back to the TEMPO_TRACE_SAMPLE env var when 0) into
   // per-shard rings of trace_ring records each.  See "Observability"
@@ -165,8 +119,8 @@ struct EventServerRuntimeConfig {
 
 struct EventServerRuntimeStats {
   std::atomic<std::int64_t> udp_datagrams{0};
-  std::atomic<std::int64_t> udp_batches{0};  // recv_many calls that got >0
-  std::atomic<std::int64_t> udp_reply_batches{0};  // send_many flushes
+  std::atomic<std::int64_t> udp_batches{0};  // receive batches that got >0
+  std::atomic<std::int64_t> udp_reply_batches{0};  // reply bucket flushes
   // Replies the kernel refused on first send (EWOULDBLOCK on the
   // non-blocking socket, ENOBUFS, ...), handed to the reactor for one
   // retry — and the ones still refused there, which are dropped.
@@ -185,8 +139,8 @@ struct EventServerRuntimeStats {
   // inbound load spreads evenly; growth means the flow hash (or a hot
   // connection) is skewing work onto fewer shards than exist.
   std::atomic<std::int64_t> work_steals{0};
-  // Of those, steals found only by the periodic steal_tick_ms re-sweep
-  // (the worker's wait timed out; nobody woke it).  Nonzero means a
+  // Of those, steals found only by the periodic 50 ms re-sweep (the
+  // worker's wait timed out; nobody woke it).  Nonzero means a
   // push path failed to wake a stealer — the tick is meant to be a
   // safety net, not the delivery mechanism.
   std::atomic<std::int64_t> tick_steals{0};
@@ -205,8 +159,8 @@ class EventServerRuntime {
   // spawns the reactor threads + per-shard worker pools.  Call after
   // all register_proc calls.
   Status start();
-  // Stops intake on every shard, drains queued requests (bounded by
-  // drain_timeout_ms), then joins everything.  Idempotent.
+  // Stops intake on every shard, drains queued requests (bounded at
+  // 2 s), then joins everything.  Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -218,8 +172,8 @@ class EventServerRuntime {
   // serve and had to send to the allocator.
   common::BufferArenaStats arena_stats() const;
   const char* backend() const;
-  // True when cfg.backend = kUring (or kAuto) can actually select the
-  // io_uring backend on this kernel.
+  // True when cfg.backend = kAuto selects the io_uring backend on this
+  // kernel.
   static bool uring_supported() { return net::Reactor::uring_supported(); }
   // Total io_uring_enter syscalls across shards (0 on other backends;
   // valid between start() and stop()) — the bench divides by calls to
@@ -282,6 +236,7 @@ class EventServerRuntime {
     std::uint64_t id = 0;
     std::size_t shard = 0;  // owning shard index, fixed for life
     std::unique_ptr<net::TcpConn> sock;
+    // The read/write interest the shard's driver last applied.
     unsigned interest = net::kEventRead;
     // Record-marking reassembly (RFC 1057 §10): 4-byte fragment header,
     // then payload; top bit marks the record's last fragment.
@@ -302,35 +257,27 @@ class EventServerRuntime {
     std::size_t out_off = 0;    // [out_off, out_len) awaits the socket
     std::size_t out_len = 0;
     bool peer_eof = false;      // stop reading; flush, then close
-    // uring backend only: read interest is a multishot IORING_OP_RECV
-    // instead of a poll.  urecv_armed tracks the in-flight op,
-    // urecv_cancel a pending ASYNC_CANCEL (backpressure pause); both
-    // reconcile against `interest` in uring_sync_conn_recv.
-    bool urecv_armed = false;
-    bool urecv_cancel = false;
   };
 
-  // One datagram per job: the recvmmsg batch amortizes the syscall, but
+  // One datagram per job: the receive batch amortizes the syscall, but
   // each request schedules on its own worker so a batch never serializes
   // behind one thread.  The payload buffer is an arena buffer with
   // `len` valid bytes; the worker recycles it into the origin shard's
   // arena, so the receive path neither allocates nor zero-fills in
   // steady state.  `shard` names the socket the datagram arrived on —
-  // the reply goes back out through that shard's socket (and its
-  // reactor on retry).
+  // the reply goes back out through that shard's driver.
   struct UdpDatagramJob {
     std::size_t shard = 0;
     net::Addr src;
     Bytes payload;
     std::size_t len = 0;
-    // Stamped once per recvmmsg batch (shared by the whole batch, so
-    // the receive path pays one clock read per syscall, not per
+    // Stamped once per receive batch (shared by the whole batch, so
+    // the receive path pays one clock read per batch, not per
     // datagram); 0 with metrics off.
     std::int64_t recv_ns = 0;
-    // Payload starts at payload.data() + off: zero for the recvmmsg
-    // path, the io_uring_recvmsg_out header size for uring multishot
-    // completions (the datagram stays in the buffer the kernel filled;
-    // nothing is memmoved).
+    // Payload starts at payload.data() + off: zero when the datagram
+    // was received into a bare payload buffer, a header's size when it
+    // stays where the kernel wrote it behind one (nothing is memmoved).
     std::size_t off = 0;
   };
   struct TcpRequestJob {
@@ -341,34 +288,53 @@ class EventServerRuntime {
   };
   using Job = std::variant<UdpDatagramJob, TcpRequestJob>;
 
-  // uring-backend state of one shard (defined in the .cpp; present only
-  // on shards whose reactor actually runs the uring backend): the
-  // provided-buffer ring's arena slices, the persistent multishot
-  // recvmsg header, the in-flight linked-send slots, and the batch
-  // accumulators the CQE drain hook flushes.
-  struct ShardUring;
+  // One encoded-but-unsent UDP reply in a worker's accumulator: `buf`
+  // is an arena buffer with `len` valid bytes.  Accumulated replies
+  // flush through the origin shard's driver as one batch, pairing with
+  // the batched receive path.  Accumulators are kept per shard so each
+  // flush goes out the right socket (work stealing means a worker can
+  // hold replies for several shards).
+  struct UdpReply {
+    net::Addr dst;
+    Bytes buf;
+    std::size_t len = 0;
+    std::int64_t recv_ns = 0;  // request's receive stamp, for udp_e2e
+  };
+  // Per-worker accumulator: one reply vector per shard plus the total
+  // across shards (the flush threshold is global so a worker never sits
+  // on more than a batch's worth of replies).
+  struct ReplyAccumulator {
+    std::vector<std::vector<UdpReply>> per_shard;
+    std::size_t total = 0;
+  };
+
+  // How bytes move for one shard (shard_driver.h): the interface, and
+  // its readiness (epoll) and io_uring implementations.  Nested so the
+  // drivers feed the core's private pipeline directly.
+  class ShardDriver;
+  class ReadinessDriver;
+  class UringDriver;
 
   // One reactor shard: an event loop thread plus everything it
   // exclusively owns, and its slice of the execution pipeline (worker
   // pool + bounded job queue + buffer arena).  Shards live in
   // unique_ptrs so Shard* captures in reactor callbacks stay stable.
   struct Shard {
-    // Both out of line: ShardUring is incomplete here, and the inline
+    // Both out of line: ShardDriver is incomplete here, and the inline
     // bodies would instantiate its destructor (unwind cleanup).
-    Shard(std::size_t idx, net::ReactorBackend be, bool sqpoll);
+    Shard(std::size_t idx, net::ReactorBackend be);
     ~Shard();
     std::size_t index;
     net::Reactor reactor;
-    std::unique_ptr<ShardUring> uring;  // null unless backend() == uring
+    // Set in start() before any thread runs; lives until the shard dies,
+    // so workers may call send_replies on it at any time in between.
+    std::unique_ptr<ShardDriver> driver;
     std::unique_ptr<net::UdpSocket> udp;  // null on non-receiving shards
     std::unordered_map<std::uint64_t, Conn> conns;
     std::uint64_t next_conn_id = 1;  // ids are per-shard; (shard, id) is
                                      // the global connection name
     bool intake_closed = false;
     std::vector<std::uint64_t> stalled_conns;
-    // recvmmsg batch buffers, reused across on_udp_readable calls;
-    // reactor-thread-only, so no lock.
-    std::vector<std::vector<net::Datagram>> batch_pool;
     // Every request/reply buffer this shard hands out; recycled from
     // whichever thread finishes with a buffer (thread-safe).
     common::BufferArena arena;
@@ -398,34 +364,18 @@ class EventServerRuntime {
   // idle-tick fallback.
   void wake_stealer(std::size_t except);
 
-  // One encoded-but-unsent UDP reply in a worker's accumulator: `buf`
-  // is an arena buffer with `len` valid bytes.  Accumulated replies
-  // flush through UdpSocket::send_many so a served burst costs one
-  // sendmmsg, pairing with the recvmmsg receive path.  Accumulators are
-  // kept per shard so each flush goes out the right socket (work
-  // stealing means a worker can hold replies for several shards).
-  struct UdpReply {
-    net::Addr dst;
-    Bytes buf;
-    std::size_t len = 0;
-    std::int64_t recv_ns = 0;  // request's receive stamp, for udp_e2e
-  };
-  // Per-worker accumulator: one reply vector per shard plus the total
-  // across shards (the flush threshold is global so a worker never sits
-  // on more than a batch's worth of replies).
-  struct ReplyAccumulator {
-    std::vector<std::vector<UdpReply>> per_shard;
-    std::size_t total = 0;
-  };
-
   // ---- reactor-shard handlers (run on that shard's thread) ------------
   void shard_loop(Shard& s);
-  void on_udp_readable(Shard& s);
   void on_accept_ready();  // shard 0 only (owns the listener)
   // Wraps a handed-off fd into a Conn owned by shard `s`.
   void adopt_conn(Shard& s, int fd);
-  void on_conn_event(Shard& s, std::uint64_t id, unsigned events);
-  void read_conn(Shard& s, Conn& conn);
+  // Continuation after the driver moved bytes for conn `id`: flush if
+  // the socket turned writable, dispatch ready records, then settle the
+  // conn's interest (or close it).
+  void on_conn_io(Shard& s, std::uint64_t id, bool writable);
+  // Feeds received stream bytes into c's record reassembly; a protocol
+  // violation resets and destroys the conn (returns false).
+  bool feed_conn(Shard& s, Conn& c, ByteSpan bytes);
   bool parse_records(Shard& s, Conn& conn,
                      ByteSpan chunk);  // false = protocol violation
   void dispatch_ready(Shard& s, Conn& conn);
@@ -433,7 +383,6 @@ class EventServerRuntime {
   void flush_conn(Shard& s, Conn& conn);  // non-blocking write of out_buf
   void finish_conn_if_idle(Shard& s, Conn& conn);
   void destroy_conn(Shard& s, std::uint64_t id);
-  void set_conn_interest(Shard& s, Conn& conn, unsigned interest);
   // A worker finished seq for conn_id: fill its ring slot, emit every
   // consecutively-complete reply into out_buf in order.
   void on_reply(Shard& s, std::uint64_t conn_id, std::uint64_t seq,
@@ -444,47 +393,13 @@ class EventServerRuntime {
   bool append_out(Shard& s, Conn& c, Chunk frame);
   void close_intake(Shard& s);     // stop reading new requests on `s`
 
-  // ---- uring backend (owning shard's reactor thread only) -------------
-  // Builds ShardUring: registers the provided-buffer ring, fills it
-  // with pinned arena slices, arms the UDP multishot recvmsg, installs
-  // the CQE handler + drain hook.  No-op unless the shard's reactor
-  // runs the uring backend.
-  void setup_shard_uring(Shard& s);
-  void on_uring_cqe(Shard& s, std::uint64_t ud, std::int32_t res,
-                    std::uint32_t flags);
-  // The per-poll batch point: pushes accumulated datagram jobs under
-  // one queue lock, re-arms terminated multishot ops, commits buffer
-  // ring refills.
-  void uring_drain_end(Shard& s);
-  void on_udp_recv_cqe(Shard& s, std::int32_t res, std::uint32_t flags);
-  void on_tcp_recv_cqe(Shard& s, std::uint64_t conn_id, std::int32_t res,
-                       std::uint32_t flags);
-  void on_udp_send_cqe(Shard& s, std::uint64_t slot, std::int32_t res);
-  // Reconciles a connection's desired read interest with the armed
-  // multishot recv (arm / cancel / re-arm after cancel completes).
-  void uring_sync_conn_recv(Shard& s, Conn& c);
-  // Reactor-thread continuation of flush_udp_replies for uring shards:
-  // one linked SQE chain per bucket instead of one sendmmsg.
-  void uring_send_bucket(Shard& s, std::vector<UdpReply> bucket);
-  // End-of-shard-loop drain: cancel armed receives, wait for every
-  // in-flight SQE's CQE (bounded), then unpin + recycle the ring's
-  // arena slices.  A kernel-referenced buffer is never recycled.
-  void uring_teardown(Shard& s);
-
   // ---- worker side ----------------------------------------------------
-  // The queue a job originating on shard `origin` is pushed to (shard 0
-  // under cfg.shared_queue).
-  Shard& job_queue_shard(std::size_t origin) {
-    return *shards_[cfg_.shared_queue ? 0 : origin];
-  }
   // Moves from `job` only on success so a failed push can be retried.
   bool push_job(std::size_t origin, Job& job);
-  // Queues the first n entries of `batch` as individual jobs under one
-  // lock acquisition; returns how many fit (the rest are drops).
-  // `recv_ns` stamps every job of the batch (one clock read per
-  // recvmmsg, shared across its datagrams).
-  int push_datagram_jobs(Shard& s, std::vector<net::Datagram>& batch, int n,
-                         std::int64_t recv_ns);
+  // Queues one receive batch as individual jobs on s's queue under one
+  // lock acquisition and counts it; what does not fit is an overload
+  // drop (payload recycled).  Leaves `jobs` empty.
+  void push_datagram_jobs(Shard& s, std::vector<UdpDatagramJob>& jobs);
   bool try_pop(std::size_t shard_idx, Job& out);
   // no_thread_safety_analysis: parks on q_cv through a unique_lock that
   // is unlocked mid-scope, which the scope-based checker cannot follow.
@@ -493,8 +408,7 @@ class EventServerRuntime {
   // in `acc` (flushed by flush_udp_replies), not on the wire yet.
   void serve_udp_datagram(UdpDatagramJob& job, ReplyAccumulator& acc,
                           std::uint16_t worker_id);
-  // One send_many per non-empty shard bucket; refused tails are retried
-  // once on that shard's reactor before counting as reply_send_failures.
+  // Hands each non-empty shard bucket to that shard's driver.
   void flush_udp_replies(ReplyAccumulator& acc);
   // `scratch` is the worker's persistent stream-reply encode buffer
   // (grown through `scratch_arena`, the worker's home arena): the
@@ -504,8 +418,6 @@ class EventServerRuntime {
   void serve_tcp_request(TcpRequestJob& job, Bytes& scratch,
                          common::BufferArena& scratch_arena,
                          std::uint16_t worker_id);
-  std::vector<net::Datagram> take_batch_buffer(Shard& s);
-  void recycle_batch_buffer(Shard& s, std::vector<net::Datagram> buf);
 
   SvcRegistry& registry_;
   EventServerRuntimeConfig cfg_;

@@ -1,7 +1,6 @@
 #include "rpc/svc.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "xdr/xdrrec.h"
@@ -147,10 +146,9 @@ Bytes SvcRegistry::handle_datagram(ByteSpan request) {
   // Per-thread scratch so concurrent workers can serve datagrams
   // through one registry without sharing buffers.  Both scratches must
   // track the actual request size: callers may feed this path records
-  // larger than any UDP datagram (up to the reactor runtime's
-  // max_record_bytes), and a fixed-size request buffer would be a
-  // remotely triggerable overflow while a fixed-size reply buffer
-  // breaks any large echo-style reply.
+  // larger than any UDP datagram (up to kMaxRecordBytes), and a
+  // fixed-size request buffer would be a remotely triggerable overflow
+  // while a fixed-size reply buffer breaks any large echo-style reply.
   thread_local Bytes scratch_out;
   thread_local Bytes req;
   const std::size_t req_size =
@@ -251,295 +249,6 @@ void TcpServer::serve(const std::atomic<bool>& stop) {
   while (!stop.load(std::memory_order_relaxed)) {
     serve_one_connection(stop, 100);
   }
-}
-
-// --------------------------------------------------------- ServerRuntime ---
-
-ServerRuntime::ServerRuntime(SvcRegistry& registry, ServerRuntimeConfig cfg)
-    : registry_(registry), cfg_(cfg) {}
-
-ServerRuntime::~ServerRuntime() { stop(); }
-
-RuntimeLatencySnapshot ServerRuntime::latency_snapshot() const {
-  RuntimeLatencySnapshot s;
-  s.queue = queue_hist_.snapshot();
-  s.handle = handle_hist_.snapshot();
-  s.udp_e2e = udp_e2e_hist_.snapshot();
-  return s;
-}
-
-Status ServerRuntime::start() {
-  if (running_.load(std::memory_order_acquire)) return Status::ok();
-  stopping_.store(false, std::memory_order_release);
-  metrics_on_ = common::metrics_enabled();
-  // Re-registering on a restart resets the previous handle first
-  // (move-assign), so the runtime contributes exactly once.  The
-  // handle lives until the runtime is destroyed — post-stop()
-  // snapshots still see the final counters.
-  metrics_source_ =
-      common::metrics().add_source([this](common::MetricsSnapshot& s) {
-        s.add_counter("rpc.udp_datagrams",
-                      stats_.udp_datagrams.load(std::memory_order_relaxed));
-        s.add_counter(
-            "rpc.tcp_connections",
-            stats_.tcp_connections.load(std::memory_order_relaxed));
-        s.add_counter("rpc.tcp_calls",
-                      stats_.tcp_calls.load(std::memory_order_relaxed));
-        s.add_counter(
-            "rpc.overload_drops",
-            stats_.overload_drops.load(std::memory_order_relaxed));
-        s.merge_histogram("rpc.queue_ns", queue_hist_.snapshot());
-        s.merge_histogram("rpc.handle_ns", handle_hist_.snapshot());
-        s.merge_histogram("rpc.udp_e2e_ns", udp_e2e_hist_.snapshot());
-        const common::BufferArenaStats a = arena_.stats();
-        s.add_counter("arena.hits", a.hits);
-        s.add_counter("arena.misses", a.misses);
-        s.add_counter("arena.recycles", a.recycles);
-        s.add_counter("arena.discards", a.discards);
-        s.add_gauge("arena.bytes_pooled",
-                    static_cast<std::int64_t>(a.bytes_pooled));
-      });
-
-  if (cfg_.enable_udp) {
-    udp_ = std::make_unique<net::UdpSocket>(cfg_.udp_port);
-    if (!udp_->ok()) {
-      udp_.reset();
-      return unavailable("ServerRuntime: UDP bind failed");
-    }
-  }
-  if (cfg_.enable_tcp) {
-    tcp_ = std::make_unique<net::TcpListener>(cfg_.tcp_port);
-    if (!tcp_->ok()) {
-      udp_.reset();
-      tcp_.reset();
-      return unavailable("ServerRuntime: TCP bind failed");
-    }
-  }
-
-  const int workers = cfg_.workers < 1 ? 1 : cfg_.workers;
-  intake_done_.store(false, std::memory_order_release);
-  worker_threads_.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    worker_threads_.emplace_back([this] { worker_loop(); });
-  }
-  if (udp_) listener_threads_.emplace_back([this] { udp_listen_loop(); });
-  if (tcp_) listener_threads_.emplace_back([this] { tcp_accept_loop(); });
-  running_.store(true, std::memory_order_release);
-  return Status::ok();
-}
-
-void ServerRuntime::stop() {
-  if (!running_.load(std::memory_order_acquire) && worker_threads_.empty() &&
-      listener_threads_.empty()) {
-    return;
-  }
-  // Deadline first, then the flag: any worker that observes stopping_
-  // also sees a valid deadline.
-  drain_deadline_ns_.store(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          (std::chrono::steady_clock::now() +
-           std::chrono::milliseconds(cfg_.drain_timeout_ms))
-              .time_since_epoch())
-          .count(),
-      std::memory_order_release);
-  stopping_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
-  // Listeners first: they may still push a final job they had already
-  // accepted/received.  Only after they are gone is the queue final and
-  // workers allowed to exit on empty — that ordering is the drain.
-  for (auto& t : listener_threads_) {
-    if (t.joinable()) t.join();
-  }
-  listener_threads_.clear();
-  intake_done_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
-  for (auto& t : worker_threads_) {
-    if (t.joinable()) t.join();
-  }
-  worker_threads_.clear();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_.clear();
-  }
-  udp_.reset();
-  tcp_.reset();
-  running_.store(false, std::memory_order_release);
-}
-
-net::Addr ServerRuntime::udp_addr() const {
-  return udp_ ? udp_->local_addr() : net::Addr{};
-}
-
-net::Addr ServerRuntime::tcp_addr() const {
-  return tcp_ ? tcp_->local_addr() : net::Addr{};
-}
-
-bool ServerRuntime::push_job(Job& job, bool droppable) {
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  if (queue_.size() >= cfg_.queue_capacity) {
-    if (droppable) {
-      ++stats_.overload_drops;
-      return false;  // job not moved from: the caller keeps its buffer
-    }
-    queue_cv_.wait(lock, [this] {
-      return queue_.size() < cfg_.queue_capacity ||
-             stopping_.load(std::memory_order_acquire);
-    });
-    if (stopping_.load(std::memory_order_acquire)) return false;
-  }
-  queue_.push_back(std::move(job));
-  lock.unlock();
-  queue_cv_.notify_all();
-  return true;
-}
-
-void ServerRuntime::udp_listen_loop() {
-  // Receive straight into an arena buffer and hand THAT buffer to the
-  // worker (with the valid length alongside): no per-datagram copy, no
-  // per-datagram allocation once the arena is warm — the worker
-  // recycles the payload after dispatch and the next take gets it back.
-  Bytes buf = arena_.take(net::kMaxDatagramBytes);
-  while (!stopping_.load(std::memory_order_acquire)) {
-    net::Addr peer;
-    auto got = udp_->recv_from(
-        &peer, MutableByteSpan(buf.data(), buf.size()), /*timeout_ms=*/50);
-    if (!got.is_ok()) continue;
-    ++stats_.udp_datagrams;
-    const std::int64_t recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
-    Job job = DatagramJob{peer, std::move(buf), *got, recv_ns};
-    if (push_job(job, /*droppable=*/true)) {
-      buf = arena_.take(net::kMaxDatagramBytes);
-    } else {
-      // Dropped: the job was not moved from; reuse its buffer for the
-      // next datagram instead of churning the arena on overload.
-      buf = std::move(std::get<DatagramJob>(job).payload);
-    }
-  }
-  arena_.recycle(std::move(buf));
-}
-
-void ServerRuntime::tcp_accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    auto conn = tcp_->accept(/*timeout_ms=*/50);
-    if (!conn.is_ok()) continue;
-    ++stats_.tcp_connections;
-    Job job = ConnJob{std::move(*conn)};
-    (void)push_job(job, /*droppable=*/false);
-  }
-}
-
-void ServerRuntime::worker_loop() {
-  // Per-worker reply scratch, held for the worker's lifetime: one arena
-  // take instead of hand-rolled thread_local sizing, recycled on exit
-  // so a later runtime in the same process reuses it.  Sized at the
-  // datagram ceiling once — reply_capacity of any datagram fits.
-  Bytes reply_buf = arena_.take(net::kMaxUdpPayloadBytes);
-  for (;;) {
-    Job job{DatagramJob{}};
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      // Exit only once the listeners are joined (intake_done_): until
-      // then a final job may still arrive and the queue is not final.
-      queue_cv_.wait(lock, [this] {
-        return !queue_.empty() ||
-               (stopping_.load(std::memory_order_acquire) &&
-                intake_done_.load(std::memory_order_acquire));
-      });
-      if (queue_.empty()) break;  // stopping and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    queue_cv_.notify_all();  // wake a blocked pusher
-    if (auto* d = std::get_if<DatagramJob>(&job)) {
-      // Zero-copy dispatch: the job owns its arena payload exclusively,
-      // so decode runs in place and the reply encodes straight into the
-      // per-worker scratch — no copy on either side.  Clamp at the UDP
-      // payload ceiling, like the event runtime's datagram path: a
-      // reply that encodes past what a datagram can physically carry
-      // would trade an immediate GARBAGE_ARGS error reply for a silent
-      // EMSGSIZE drop and a client timeout.
-      const std::size_t cap =
-          std::min(reply_capacity(d->len), net::kMaxUdpPayloadBytes);
-      const std::int64_t pop_ns =
-          metrics_on_ ? common::monotonic_ns() : 0;
-      if (metrics_on_) queue_hist_.record(pop_ns - d->recv_ns);
-      const std::size_t n = registry_.handle_request(
-          ByteSpan(d->payload.data(), d->len),
-          MutableByteSpan(reply_buf.data(), cap));
-      if (metrics_on_) {
-        handle_hist_.record(common::monotonic_ns() - pop_ns);
-      }
-      if (n > 0) {
-        const Status sent =
-            udp_->send_to(d->peer, ByteSpan(reply_buf.data(), n));
-        // End-to-end covers receive to successful wire handoff; a
-        // failed send never counts (the stress books rely on that).
-        if (metrics_on_ && sent.is_ok()) {
-          udp_e2e_hist_.record(common::monotonic_ns() - d->recv_ns);
-        }
-      }
-      arena_.recycle(std::move(d->payload));
-    } else if (auto* c = std::get_if<ConnJob>(&job)) {
-      serve_connection(*c->conn);
-    }
-  }
-  arena_.recycle(std::move(reply_buf));
-}
-
-void ServerRuntime::serve_connection(net::TcpConn& conn) {
-  // Shutdown contract: a connection popped from the queue after stop()
-  // still gets every request whose bytes have already reached the
-  // socket served and replied to — stop() drains, it does not drop.
-  // While stopping, the reader only polls (0 timeout) instead of
-  // waiting, so fully-buffered requests dispatch and the loop ends as
-  // soon as no complete request remains; a peer that keeps streaming
-  // new requests is cut off at the drain deadline.
-  XdrRec in(XdrOp::kDecode, nullptr,
-            [&](MutableByteSpan buf) -> std::size_t {
-              auto r = conn.read_some(
-                  buf, stopping_.load(std::memory_order_acquire) ? 0 : 100);
-              while (!r.is_ok() &&
-                     r.status().code() == StatusCode::kTimeout &&
-                     !stopping_.load(std::memory_order_acquire)) {
-                r = conn.read_some(buf, 100);
-              }
-              return r.is_ok() ? *r : 0;
-            });
-
-  const auto past_drain_deadline = [this] {
-    if (!stopping_.load(std::memory_order_acquire)) return false;
-    const auto now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now().time_since_epoch())
-                            .count();
-    return now_ns > drain_deadline_ns_.load(std::memory_order_acquire);
-  };
-
-  // Reply sizing mirrors TcpServer::serve_one_connection: the request
-  // size is unknown until decoded, so provision for the largest record.
-  // An arena take amortizes the ~1 MB allocation across connections the
-  // same way the old thread_local scratch amortized it across calls —
-  // and the SAME pooled buffer now also serves the event runtime's
-  // sizing rule, one contract instead of two.
-  Bytes out_buf = arena_.take(kMaxStreamReplyBytes);
-  while (!past_drain_deadline()) {
-    XdrMem out(MutableByteSpan(out_buf.data(), out_buf.size()),
-               XdrOp::kEncode);
-    if (!registry_.dispatch(in, out)) break;  // peer closed or garbage
-    if (!in.skip_record()) break;
-    bool ok = true;
-    XdrRec rec_out(XdrOp::kEncode,
-                   [&](ByteSpan data) {
-                     ok = conn.write_all(data).is_ok();
-                     return ok;
-                   },
-                   nullptr);
-    if (!rec_out.putbytes(ByteSpan(out_buf.data(), out.getpos())) ||
-        !rec_out.end_of_record() || !ok) {
-      break;
-    }
-    ++stats_.tcp_calls;
-  }
-  arena_.recycle(std::move(out_buf));
 }
 
 }  // namespace tempo::rpc

@@ -9,19 +9,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <tuple>
-#include <variant>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/metrics.h"
 #include "common/status.h"
 #include "net/simnet.h"
@@ -45,25 +38,28 @@ using AuthChecker = std::function<AuthStat(const OpaqueAuth& cred)>;
 //
 // A reply buffer must never be smaller than the classic UDP message
 // size, and for transports that accept larger records (the reactor
-// runtime's TCP records go up to max_record_bytes = 1 MB) it must scale
-// with the request: an echo-style handler produces a reply about as
-// large as its request, so a fixed 65000-byte scratch silently breaks
-// any large-record reply (the handler's encode fails and the client
-// sees GARBAGE_ARGS).  kReplyHeadroom covers the reply header of
-// procedures whose results exceed their arguments by a bounded amount.
+// runtime's TCP records go up to kMaxRecordBytes) it must scale with the
+// request: an echo-style handler produces a reply about as large as its
+// request, so a fixed 65000-byte scratch silently breaks any
+// large-record reply (the handler's encode fails and the client sees
+// GARBAGE_ARGS).  kReplyHeadroom covers the reply header of procedures
+// whose results exceed their arguments by a bounded amount.
 inline constexpr std::size_t kMinReplyBytes = 65000;  // UDPMSGSIZE analog
 inline constexpr std::size_t kReplyHeadroom = 1024;
 inline std::size_t reply_capacity(std::size_t request_size) {
   const std::size_t scaled = request_size + kReplyHeadroom;
   return scaled < kMinReplyBytes ? kMinReplyBytes : scaled;
 }
-// The record-stream (xdrrec) server paths cannot see the request size
-// before dispatch, so they provision for the largest record the reactor
-// runtime accepts (EventServerRuntimeConfig::max_record_bytes default).
+// The largest record-marked request EventServerRuntime accepts; a peer
+// announcing more is reset.
+inline constexpr std::size_t kMaxRecordBytes = 1u << 20;
+// Stream replies are not bounded by their request (a read-style proc
+// turns a tiny call into a big result), so every stream path provisions
+// reply_capacity() of the largest record the runtime accepts.
 inline constexpr std::size_t kMaxStreamReplyBytes =
-    (1u << 20) + kReplyHeadroom;
+    kMaxRecordBytes + kReplyHeadroom;
 
-// Atomic so concurrent worker threads (ServerRuntime) can dispatch
+// Atomic so concurrent worker threads (EventServerRuntime) can dispatch
 // through one registry without a stats race; single-threaded callers
 // read the fields exactly as before.
 struct SvcStats {
@@ -135,7 +131,7 @@ class SvcRegistry {
 };
 
 // Per-request latency distributions, merged across a runtime's shards
-// (both server runtimes return one; see "Observability" in
+// (EventServerRuntime::latency_snapshot; see "Observability" in
 // src/rpc/README.md for the stage taxonomy).  All values nanoseconds.
 struct RuntimeLatencySnapshot {
   common::HistogramSnapshot queue;    // wire receive -> worker pop
@@ -164,147 +160,6 @@ class UdpServer {
 // Installs a SimEndpoint handler so requests dispatch inline while the
 // simulated network is pumped.  Reply send cost is charged to the link.
 void attach_sim_server(net::SimEndpoint* endpoint, SvcRegistry& registry);
-
-// ---------------------------------------------------------------------------
-// ServerRuntime — the concurrent successor of the one-socket loops above.
-//
-// One runtime owns a UDP socket and a TCP listener on loopback, plus a
-// small worker pool.  Two listener threads feed a bounded job queue:
-//   * the UDP thread turns each datagram into a job (peer, bytes);
-//   * the TCP thread turns each accepted connection into a job that a
-//     worker serves with the record-marked (xdrrec) call loop until the
-//     peer closes.
-// Workers run SvcRegistry::dispatch, which is concurrency-safe once
-// registration is done.  Handlers that resolve residual plans through a
-// core::SpecCache (see core::CachedSpecService) make this the paper's
-// specialization machinery under a real multi-client load: first call
-// of a shape builds/fetches the specialization, later calls run
-// straight-line residual code, and ExecStatus::kFallback drops any
-// individual call to the generic interpreter path.
-//
-// Overload behavior: when the queue is full, UDP jobs are dropped (the
-// client retransmits — classic datagram semantics) and TCP accepts are
-// deferred; `stats().overload_drops` counts the former.
-// ---------------------------------------------------------------------------
-
-struct ServerRuntimeConfig {
-  int workers = 4;
-  std::uint16_t udp_port = 0;  // 0 = ephemeral
-  std::uint16_t tcp_port = 0;
-  bool enable_udp = true;
-  bool enable_tcp = true;
-  std::size_t queue_capacity = 1024;
-  // stop() keeps serving already-received requests for at most this
-  // long; a peer that keeps transmitting cannot hold shutdown hostage.
-  int drain_timeout_ms = 2000;
-};
-
-struct ServerRuntimeStats {
-  std::atomic<std::int64_t> udp_datagrams{0};
-  std::atomic<std::int64_t> tcp_connections{0};
-  std::atomic<std::int64_t> tcp_calls{0};
-  std::atomic<std::int64_t> overload_drops{0};
-};
-
-class ServerRuntime {
- public:
-  explicit ServerRuntime(SvcRegistry& registry, ServerRuntimeConfig cfg = {});
-  ~ServerRuntime();
-
-  ServerRuntime(const ServerRuntime&) = delete;
-  ServerRuntime& operator=(const ServerRuntime&) = delete;
-
-  // Binds sockets and spawns listener + worker threads.  Call after all
-  // register_proc calls.  Fails if a socket cannot bind.
-  Status start();
-  // Idempotent; joins every thread.  Drains rather than drops: jobs
-  // already queued are still served — datagrams get replies, and queued
-  // TCP connections serve every request whose bytes have already
-  // arrived — before the workers exit (bounded by drain_timeout_ms).
-  void stop();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  net::Addr udp_addr() const;
-  net::Addr tcp_addr() const;
-  const ServerRuntimeStats& stats() const { return stats_; }
-  // The runtime's buffer pool: `misses` is `arena_misses` — takes the
-  // pool could not serve and had to send to the allocator.
-  common::BufferArenaStats arena_stats() const { return arena_.stats(); }
-
-  // Latency distributions recorded while serving (UDP path; the
-  // blocking xdrrec TCP path interleaves socket waits with dispatch,
-  // so it contributes calls/counters but no per-request histograms).
-  // Valid after stop() too — histograms persist with the runtime.
-  RuntimeLatencySnapshot latency_snapshot() const;
-  // The whole process in one call: this runtime's counters and
-  // histograms plus every other registered component (registry
-  // dispatch stats, spec cache, services, arena) via the global
-  // metrics registry.
-  common::MetricsSnapshot metrics_snapshot() const {
-    return common::metrics().snapshot();
-  }
-
- private:
-  // `payload` is an arena buffer with `len` valid bytes; the worker
-  // recycles it after dispatch, so the datagram intake path neither
-  // allocates nor copies per request.
-  struct DatagramJob {
-    net::Addr peer;
-    Bytes payload;
-    std::size_t len = 0;
-    std::int64_t recv_ns = 0;  // monotonic_ns at socket receive
-  };
-  struct ConnJob {
-    std::unique_ptr<net::TcpConn> conn;
-  };
-  using Job = std::variant<DatagramJob, ConnJob>;
-
-  // Moves from `job` only on success, so a dropped datagram's arena
-  // buffer stays with the caller.
-  bool push_job(Job& job, bool droppable);
-  void udp_listen_loop();
-  void tcp_accept_loop();
-  void worker_loop();
-  void serve_connection(net::TcpConn& conn);
-
-  SvcRegistry& registry_;
-  ServerRuntimeConfig cfg_;
-  ServerRuntimeStats stats_;
-  // Every receive payload and reply scratch comes from here (the same
-  // buffer contract as the event runtime's per-shard arenas; this
-  // runtime is unsharded so one pool serves all threads).
-  common::BufferArena arena_;
-  // Latency histograms (this runtime is unsharded: shard 0 of the
-  // taxonomy).  Wait-free to record from every worker concurrently.
-  common::LatencyHistogram queue_hist_;
-  common::LatencyHistogram handle_hist_;
-  common::LatencyHistogram udp_e2e_hist_;
-  // Cached from common::metrics_enabled() at start(): when false the
-  // hot path takes no clock reads and records nothing.
-  bool metrics_on_ = false;
-
-  std::unique_ptr<net::UdpSocket> udp_;
-  std::unique_ptr<net::TcpListener> tcp_;
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  // True once both listener threads have been joined: only then is the
-  // queue final, and only then may an idle worker exit.  Without this
-  // gate a listener could push one last accepted job after every
-  // worker had already seen an empty queue and left — a drop.
-  std::atomic<bool> intake_done_{false};
-  // Steady-clock nanoseconds after which draining connections give up;
-  // written (before stopping_ flips) in stop(), read by workers.
-  std::atomic<std::int64_t> drain_deadline_ns_{0};
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Job> queue_;
-  std::vector<std::thread> worker_threads_;
-  std::vector<std::thread> listener_threads_;
-  // Last member: the global-registry source reads stats_/histograms/
-  // arena_, so it must unregister before they are destroyed.
-  common::MetricsRegistry::SourceHandle metrics_source_;
-};
 
 // Accepts loopback TCP connections and serves record-marked calls.
 class TcpServer {

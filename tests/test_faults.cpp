@@ -2,12 +2,11 @@
 //
 // The simnet suite (test_simnet.cpp) pins the client's guarded-
 // specialization behaviour under drop/dup/reorder schedules, but only
-// against inline sim-endpoint servers — neither ServerRuntime nor
-// EventServerRuntime ever saw a fault schedule.  This file ports that
-// suite to the real loopback runtimes through a deterministic UDP
-// fault proxy, and parameterizes every case over BOTH runtimes (the
-// threaded one and the reactor one, single- and multi-shard), so the
-// event path gets the same adversarial coverage:
+// against inline sim-endpoint servers.  This file ports that suite to
+// the real loopback runtime through a deterministic UDP fault proxy,
+// and parameterizes every case over single- and multi-shard
+// EventServerRuntime on both event paths (epoll and io_uring), so each
+// gets the same adversarial coverage:
 //
 //   * a dropped request or reply drives the client's retransmission
 //     path against a live runtime;
@@ -68,10 +67,9 @@ core::SpecConfig cfg_for(std::uint32_t n) {
 using test::FaultParams;
 using test::UdpFaultProxy;
 
-// --------------------------- both runtimes behind one test surface ---
+// ------------------------------ every event path behind one fixture ---
 
 enum class RuntimeKind {
-  kThreaded,
   kReactor,
   kReactorSharded,
   kReactorUring,
@@ -80,8 +78,6 @@ enum class RuntimeKind {
 
 const char* kind_name(RuntimeKind k) {
   switch (k) {
-    case RuntimeKind::kThreaded:
-      return "threaded";
     case RuntimeKind::kReactor:
       return "reactor";
     case RuntimeKind::kReactorSharded:
@@ -99,58 +95,21 @@ bool kind_is_uring(RuntimeKind k) {
          k == RuntimeKind::kReactorShardedUring;
 }
 
-class RuntimeUnderTest {
- public:
-  virtual ~RuntimeUnderTest() = default;
-  virtual Status start() = 0;
-  virtual void stop() = 0;
-  virtual net::Addr udp_addr() const = 0;
-};
-
-template <typename RuntimeT, typename ConfigT>
-class RuntimeWrapper final : public RuntimeUnderTest {
- public:
-  RuntimeWrapper(rpc::SvcRegistry& reg, ConfigT cfg) : rt_(reg, cfg) {}
-  Status start() override { return rt_.start(); }
-  void stop() override { rt_.stop(); }
-  net::Addr udp_addr() const override { return rt_.udp_addr(); }
-
- private:
-  RuntimeT rt_;
-};
-
-std::unique_ptr<RuntimeUnderTest> make_runtime(RuntimeKind kind,
-                                               rpc::SvcRegistry& reg) {
-  switch (kind) {
-    case RuntimeKind::kThreaded: {
-      rpc::ServerRuntimeConfig cfg;
-      cfg.workers = 2;
-      cfg.enable_tcp = false;
-      return std::make_unique<
-          RuntimeWrapper<rpc::ServerRuntime, rpc::ServerRuntimeConfig>>(reg,
-                                                                        cfg);
-    }
-    case RuntimeKind::kReactor:
-    case RuntimeKind::kReactorSharded:
-    case RuntimeKind::kReactorUring:
-    case RuntimeKind::kReactorShardedUring: {
-      rpc::EventServerRuntimeConfig cfg;
-      cfg.workers = 2;
-      cfg.reactors = (kind == RuntimeKind::kReactorSharded ||
-                      kind == RuntimeKind::kReactorShardedUring)
-                         ? 4
-                         : 1;
-      // The epoll rows stay epoll even on uring-capable kernels so the
-      // fault matrix always covers both event paths explicitly.
-      cfg.backend = kind_is_uring(kind) ? rpc::EventBackend::kUring
-                                        : rpc::EventBackend::kEpoll;
-      cfg.enable_tcp = false;
-      return std::make_unique<RuntimeWrapper<rpc::EventServerRuntime,
-                                             rpc::EventServerRuntimeConfig>>(
-          reg, cfg);
-    }
-  }
-  return nullptr;
+std::unique_ptr<rpc::EventServerRuntime> make_runtime(RuntimeKind kind,
+                                                      rpc::SvcRegistry& reg) {
+  rpc::EventServerRuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.reactors = (kind == RuntimeKind::kReactorSharded ||
+                  kind == RuntimeKind::kReactorShardedUring)
+                     ? 4
+                     : 1;
+  // The epoll rows stay epoll even on uring-capable kernels so the
+  // fault matrix always covers both event paths explicitly; the uring
+  // rows run kAuto, which is io_uring wherever they are not skipped.
+  cfg.backend = kind_is_uring(kind) ? net::ReactorBackend::kAuto
+                                    : net::ReactorBackend::kEpoll;
+  cfg.enable_tcp = false;
+  return std::make_unique<rpc::EventServerRuntime>(reg, cfg);
 }
 
 // Shared fixture: a CachedSpecService echo server on the runtime under
@@ -184,7 +143,7 @@ class RuntimeFaults : public ::testing::TestWithParam<RuntimeKind> {
   rpc::SvcRegistry reg_;
   std::unique_ptr<core::SpecCache> cache_;
   std::unique_ptr<core::CachedSpecService> service_;
-  std::unique_ptr<RuntimeUnderTest> runtime_;
+  std::unique_ptr<rpc::EventServerRuntime> runtime_;
 };
 
 // Aggressive per-leg loss: every call must still converge through the
@@ -331,9 +290,8 @@ TEST_P(RuntimeFaults, GenericClientConvergesUnderSameFaults) {
   EXPECT_GT(client.stats().retransmissions + client.stats().stale_replies, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothRuntimes, RuntimeFaults,
-                         ::testing::Values(RuntimeKind::kThreaded,
-                                           RuntimeKind::kReactor,
+INSTANTIATE_TEST_SUITE_P(EventPaths, RuntimeFaults,
+                         ::testing::Values(RuntimeKind::kReactor,
                                            RuntimeKind::kReactorSharded,
                                            RuntimeKind::kReactorUring,
                                            RuntimeKind::kReactorShardedUring),

@@ -372,6 +372,11 @@ TEST(MetricsPlane, LiveServerSnapshotIsCoherent) {
   EXPECT_GE(snap.counters["rpc.udp_batches"], 1);
   EXPECT_EQ(snap.gauges["rpc.reactors"], 2);
   EXPECT_EQ(snap.gauges["rpc.workers"], 4);
+  // The backend gauge uses the benchmark's net.backend encoding:
+  // 0 = none, 1 = epoll, 2 = uring.
+  const std::string backend = runtime.backend();
+  ASSERT_TRUE(backend == "epoll" || backend == "uring") << backend;
+  EXPECT_EQ(snap.gauges["rpc.backend"], backend == "uring" ? 2 : 1);
 
   // Latency histograms: one queue-wait + one handle + one e2e sample
   // per served datagram, p-order sane.

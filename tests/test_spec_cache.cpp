@@ -1,7 +1,8 @@
 // SpecCache tests: memoization under concurrency (one build per key),
 // bounded LRU eviction + rebuild, byte-identical cached plans, negative
-// caching, and the cache wired into the concurrent server runtime via
-// CachedSpecService over real loopback UDP and TCP.
+// caching, and the cache wired into the record-stream TcpServer via
+// CachedSpecService over real loopback TCP (the concurrent runtime's
+// UDP and TCP paths are covered in test_reactor.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,7 @@
 #include "core/spec_client.h"
 #include "core/stubspec.h"
 #include "idl/interp.h"
-#include "net/udp.h"
-#include "pe/compile.h"
+#include "net/tcp.h"
 #include "rpc/client.h"
 #include "rpc/svc.h"
 #include "xdr/primitives.h"
@@ -576,9 +576,12 @@ TEST(SpecCacheHotSlot, ConcurrentSkewedTrafficStaysConsistent) {
             static_cast<std::int64_t>(kThreads) * kItersPerThread - 5);
 }
 
-// ---- the cache under the concurrent server runtime -----------------------
+// ---- the cache behind the record-stream server --------------------------
 
-TEST(ServerRuntime, CachedServiceOverLoopbackUdp) {
+// rpc::TcpServer reads calls through an xdrrec stream, so the arguments
+// cannot be inlined (the service's stream-opaque path) — but the cache
+// still resolves the specialization, exactly once.
+TEST(TcpServer, CachedServiceOverTcpStream) {
   SpecCache cache(32);
   const auto proc = echo_array_proc();
 
@@ -593,124 +596,51 @@ TEST(ServerRuntime, CachedServiceOverLoopbackUdp) {
       });
   service.install(reg);
 
-  rpc::ServerRuntimeConfig cfg;
-  cfg.workers = 4;
-  rpc::ServerRuntime runtime(reg, cfg);
-  ASSERT_TRUE(runtime.start().is_ok());
-
-  // Three client threads, each hammering its own array shape.
-  const std::vector<std::uint32_t> sizes = {25, 50, 100};
-  constexpr int kCallsPerClient = 30;
-  std::atomic<int> bad{0};
-  std::vector<std::thread> clients;
-  for (auto n : sizes) {
-    clients.emplace_back([&, n] {
-      auto iface =
-          SpecializedInterface::build(echo_array_proc(), kProg, kVers,
-                                      cfg_for(n));
-      if (!iface.is_ok()) {
-        ++bad;
-        return;
-      }
-      net::UdpSocket sock;
-      if (!sock.ok()) {
-        ++bad;
-        return;
-      }
-      SpecializedClient client(sock, runtime.udp_addr(), *iface);
-      std::vector<std::uint32_t> args(n), results(n, 0);
-      for (std::uint32_t i = 0; i < n; ++i) args[i] = n * 1000 + i;
-      for (int round = 0; round < kCallsPerClient; ++round) {
-        std::fill(results.begin(), results.end(), 0);
-        Status st = client.call(args, results);
-        if (!st.is_ok() || results != args) {
-          ++bad;
-          return;
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  runtime.stop();
-
-  EXPECT_EQ(bad.load(), 0);
-  const auto& sstats = service.stats();
-  const auto cstats = cache.stats();
-  // One cache build per distinct shape; everything else served from it.
-  EXPECT_EQ(cstats.misses, static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(sstats.fast_path + sstats.generic_path,
-            static_cast<std::int64_t>(sizes.size()) * kCallsPerClient);
-  EXPECT_GT(sstats.fast_path.load(), 0);
-  EXPECT_GE(runtime.stats().udp_datagrams.load(),
-            static_cast<std::int64_t>(sizes.size()) * kCallsPerClient);
-  // Third-tier accounting: these shapes are all compilable, so every
-  // fast-path request was served by an interface with native stubs (or
-  // none was, when the JIT is gated off).
-  if (pe::jit_supported_host() && pe::jit_enabled_by_env()) {
-    EXPECT_EQ(cstats.jit_stubs,
-              4 * static_cast<std::int64_t>(sizes.size()));
-    EXPECT_EQ(sstats.jit_fast_path.load(), sstats.fast_path.load());
-  } else {
-    EXPECT_EQ(cstats.jit_stubs, 0);
-    EXPECT_EQ(sstats.jit_fast_path.load(), 0);
-  }
-}
-
-TEST(ServerRuntime, CachedServiceOverTcpStream) {
-  SpecCache cache(32);
-  const auto proc = echo_array_proc();
-
-  rpc::SvcRegistry reg;
-  CachedSpecService service(
-      cache, proc, kProg, kVers,
-      [](std::span<const std::uint32_t> /*arg_counts*/,
-         std::span<const std::uint32_t> args,
-         std::span<std::uint32_t> results) {
-        std::copy(args.begin(), args.end(), results.begin());
-        return true;
-      });
-  service.install(reg);
-
-  rpc::ServerRuntimeConfig cfg;
-  cfg.workers = 2;
-  rpc::ServerRuntime runtime(reg, cfg);
-  ASSERT_TRUE(runtime.start().is_ok());
+  net::TcpListener listener(0);
+  ASSERT_TRUE(listener.ok());
+  rpc::TcpServer server(listener, reg);
+  std::atomic<bool> stop{false};
+  int served = 0;
+  std::thread serving([&] { served = server.serve_one_connection(stop); });
 
   const std::uint32_t n = 40;
-  rpc::TcpClient client(runtime.tcp_addr(), kProg, kVers);
-  ASSERT_TRUE(client.ok());
-  for (int round = 0; round < 5; ++round) {
-    std::vector<std::int32_t> sent(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      sent[i] = static_cast<std::int32_t>(round * 100 + i);
+  {
+    rpc::TcpClient client(listener.local_addr(), kProg, kVers);
+    ASSERT_TRUE(client.ok());
+    for (int round = 0; round < 5; ++round) {
+      std::vector<std::int32_t> sent(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        sent[i] = static_cast<std::int32_t>(round * 100 + i);
+      }
+      std::vector<std::int32_t> got;
+      Status st = client.call(
+          7,
+          [&](xdr::XdrStream& x) {
+            std::uint32_t count = n;
+            if (!xdr::xdr_u_int(x, count)) return false;
+            for (auto& v : sent) {
+              if (!xdr::xdr_int(x, v)) return false;
+            }
+            return true;
+          },
+          [&](xdr::XdrStream& x) {
+            std::uint32_t count = 0;
+            if (!xdr::xdr_u_int(x, count) || count != n) return false;
+            got.resize(count);
+            for (auto& v : got) {
+              if (!xdr::xdr_int(x, v)) return false;
+            }
+            return true;
+          });
+      ASSERT_TRUE(st.is_ok()) << st.to_string();
+      ASSERT_EQ(got, sent);
     }
-    std::vector<std::int32_t> got;
-    Status st = client.call(
-        7,
-        [&](xdr::XdrStream& x) {
-          std::uint32_t count = n;
-          if (!xdr::xdr_u_int(x, count)) return false;
-          for (auto& v : sent) {
-            if (!xdr::xdr_int(x, v)) return false;
-          }
-          return true;
-        },
-        [&](xdr::XdrStream& x) {
-          std::uint32_t count = 0;
-          if (!xdr::xdr_u_int(x, count) || count != n) return false;
-          got.resize(count);
-          for (auto& v : got) {
-            if (!xdr::xdr_int(x, v)) return false;
-          }
-          return true;
-        });
-    ASSERT_TRUE(st.is_ok()) << st.to_string();
-    ASSERT_EQ(got, sent);
-  }
-  runtime.stop();
+  }  // the client closes: the server's connection loop ends
+  stop.store(true);
+  serving.join();
 
-  EXPECT_EQ(runtime.stats().tcp_connections.load(), 1);
-  EXPECT_EQ(runtime.stats().tcp_calls.load(), 5);
+  EXPECT_EQ(served, 5);
+  EXPECT_EQ(reg.stats().success.load(), 5);
   // The record stream cannot be inlined, so argument decode is generic —
   // but the cache still resolved the specialization for reply encoding.
   EXPECT_EQ(cache.stats().misses, 1);

@@ -88,20 +88,17 @@ bool stress_kv_enabled() {
   return e != nullptr && *e != '\0' && *e != '0';
 }
 
-// TEMPO_STRESS_BACKEND={auto,epoll,poll,uring} pins the reactor backend
-// for every soak runtime; CI's sanitizer lanes run the suite once per
-// event path.  "uring" on a kernel without support falls back to the
-// auto choice (the runtime downgrades; the soak still runs).
-rpc::EventBackend stress_backend() {
+// TEMPO_STRESS_BACKEND={auto,epoll,uring} pins the reactor backend for
+// every soak runtime; CI's sanitizer lanes run the suite once per event
+// path.  "uring" (like "auto" or unset) is kAuto: io_uring wherever the
+// kernel supports it, the epoll fallback elsewhere — the soak still
+// runs.
+net::ReactorBackend stress_backend() {
   const char* e = std::getenv("TEMPO_STRESS_BACKEND");
-  if (e == nullptr) return rpc::EventBackend::kAuto;
-  if (std::strcmp(e, "epoll") == 0) return rpc::EventBackend::kEpoll;
-  if (std::strcmp(e, "poll") == 0) return rpc::EventBackend::kPoll;
-  if (std::strcmp(e, "uring") == 0 &&
-      rpc::EventServerRuntime::uring_supported()) {
-    return rpc::EventBackend::kUring;
+  if (e != nullptr && std::strcmp(e, "epoll") == 0) {
+    return net::ReactorBackend::kEpoll;
   }
-  return rpc::EventBackend::kAuto;
+  return net::ReactorBackend::kAuto;
 }
 
 // One RNG instance per client thread: deterministic given the seed,

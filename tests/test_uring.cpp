@@ -18,7 +18,6 @@
 #include <sys/socket.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -29,6 +28,7 @@
 #include "net/udp.h"
 #include "rpc/event_runtime.h"
 #include "rpc/rpc_msg.h"
+#include "rpc/shard_driver.h"
 #include "rpc/svc.h"
 #include "xdr/primitives.h"
 #include "xdr/xdrmem.h"
@@ -76,12 +76,11 @@ bool echo_once(net::UdpSocket& sock, const net::Addr& dst, std::uint32_t xid) {
 }
 
 // The steady-state pin expectation: every shard keeps one registered
-// ring of `uring_buffers` (rounded up to a power of two, floor 8)
-// slices, each a kMaxDatagramBytes take — a 65536-byte arena class.
+// ring of kUringBufferSlots slices, each a kMaxDatagramBytes take — a
+// 65536-byte arena class.
 std::int64_t expected_pinned(const rpc::EventServerRuntimeConfig& cfg) {
-  const unsigned entries = std::bit_ceil(
-      static_cast<unsigned>(cfg.uring_buffers < 8 ? 8 : cfg.uring_buffers));
-  return static_cast<std::int64_t>(cfg.reactors) * entries * 65536;
+  return static_cast<std::int64_t>(cfg.reactors) * rpc::kUringBufferSlots *
+         65536;
 }
 
 // Wait until bytes_pinned settles at `want` (receive completions unpin
@@ -105,10 +104,8 @@ TEST(UringRuntime, RegisteredBufferPinsStableUnderConnResets) {
   install_echo(reg);
 
   rpc::EventServerRuntimeConfig cfg;
-  cfg.backend = rpc::EventBackend::kUring;
   cfg.reactors = 2;
   cfg.workers = 2;
-  cfg.uring_buffers = 32;
   rpc::EventServerRuntime runtime(reg, cfg);
   ASSERT_TRUE(runtime.start().is_ok());
   ASSERT_STREQ(runtime.backend(), "uring");
@@ -155,7 +152,6 @@ TEST(UringRuntime, StopDrainsInFlightOpsAndUnpinsEverything) {
   install_echo(reg);
 
   rpc::EventServerRuntimeConfig cfg;
-  cfg.backend = rpc::EventBackend::kUring;
   cfg.reactors = 2;
   cfg.workers = 4;
   rpc::EventServerRuntime runtime(reg, cfg);

@@ -7,9 +7,9 @@ Usage:
         [--key-fields f1,f2,...]
 
 Points are matched on the configuration key — by default the
-bench_concurrent fields (runtime, workers, clients, reactors,
-workers_per_shard, tcp_depth, queue); other benches pass --key-fields
-(e.g. bench_kv uses mode,writers,value_bytes).  For each matched pair
+bench_concurrent fields (workers, clients, reactors, tcp_depth,
+backend); other benches pass --key-fields (e.g. bench_kv uses
+mode,writers,value_bytes).  For each matched pair
 the script flags
 
   * calls_per_sec dropping by more than --max-drop-pct, and
@@ -27,8 +27,8 @@ import json
 import sys
 
 
-DEFAULT_KEY_FIELDS = ("runtime", "workers", "clients", "reactors",
-                      "workers_per_shard", "tcp_depth", "queue", "backend")
+DEFAULT_KEY_FIELDS = ("workers", "clients", "reactors", "tcp_depth",
+                      "backend")
 
 
 def config_key(point, fields):
