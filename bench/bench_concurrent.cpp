@@ -25,8 +25,8 @@
 // --reactors N shards the runtime across N event-loop threads
 // (SO_REUSEPORT UDP + partitioned TCP conns); compare --reactors 1 vs 4
 // under --window to measure the multi-reactor scaling once one event
-// loop saturates.  Each JSON point records its `reactors` and `backend`
-// so artifacts from different configurations stay distinguishable.
+// loop saturates.  Each JSON point records its `reactors` so artifacts
+// from different configurations stay distinguishable.
 //
 // --tcp-depth N switches the workload from UDP to pipelined TCP: each
 // client keeps N calls in flight on one connection (1 = classic
@@ -35,7 +35,7 @@
 //
 // Usage: bench_concurrent [--duration-ms N] [--dwell-us N] [--window N]
 //                         [--reactors N] [--tcp-depth N]
-//                         [--backend auto|epoll|uring] [--json PATH]
+//                         [--open-loop RATE] [--json PATH]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -68,10 +68,6 @@ struct Point {
   int clients = 0;
   int reactors = 0;     // event-loop shards
   int tcp_depth = 0;    // 0 = UDP workload
-  std::string backend;  // "epoll" or "uring"
-  // io_uring_enter syscalls across the measurement (0 on other
-  // backends) — the bench's "syscalls per burst" evidence.
-  std::int64_t uring_enters = 0;
   double calls_per_sec = 0.0;
   // Server-side end-to-end latency (recv to reply-send), read from the
   // runtime's per-shard histograms before stop().  count == 0 when
@@ -99,8 +95,7 @@ struct Options {
   int reactors = 1;  // runtime shards
   int tcp_depth = 0;  // 0 = UDP; N>0 = TCP with N pipelined calls/client
   double open_loop = 0.0;  // >0: offered calls/sec across clients (UDP)
-  std::string backend = "auto";  // reactor backend: auto|epoll|uring
-  std::string json_path;         // empty = no JSON
+  std::string json_path;   // empty = no JSON
 };
 
 constexpr std::uint32_t kArraySize = 100;
@@ -129,9 +124,6 @@ Point run_point(core::SpecCache& cache, int workers, int clients,
   cfg.enable_tcp = opt.tcp_depth > 0;
   cfg.enable_udp = opt.tcp_depth == 0;
   if (opt.tcp_depth > 0) cfg.tcp_pipeline_depth = opt.tcp_depth;
-  // "uring" was checked against the kernel probe in main(), so kAuto
-  // selects it here.
-  if (opt.backend == "epoll") cfg.backend = net::ReactorBackend::kEpoll;
   rpc::EventServerRuntime runtime(reg, cfg);
   if (!runtime.start().is_ok()) {
     std::fprintf(stderr, "cannot start the server runtime\n");
@@ -393,10 +385,6 @@ Point run_point(core::SpecCache& cache, int workers, int clients,
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  // Read while the runtime is live: stop() tears the shards down and
-  // backend() honestly reports "none" afterwards.
-  const std::string backend = runtime.backend();
-  const std::int64_t uring_enters = runtime.uring_enter_calls();
   // Server-side end-to-end distribution, merged across shards and both
   // transports.  Empty (count 0) when TEMPO_METRICS=0.
   rpc::RuntimeLatencySnapshot lat = runtime.latency_snapshot();
@@ -414,8 +402,6 @@ Point run_point(core::SpecCache& cache, int workers, int clients,
   p.clients = clients;
   p.tcp_depth = opt.tcp_depth;
   p.reactors = opt.reactors;
-  p.backend = backend;
-  p.uring_enters = uring_enters;
   p.calls_per_sec = static_cast<double>(total_calls.load()) / secs;
   p.lat_count = static_cast<std::int64_t>(e2e.total());
   p.p50_us = static_cast<double>(e2e.p50()) / 1000.0;
@@ -447,10 +433,9 @@ void run(const Options& opt) {
 
   std::printf(
       "bench_concurrent: echo-array n=%u over loopback %s, "
-      "dwell=%dus, %dms per point, cache shards=%zu, reactors=%d, "
-      "backend=%s, %s\n\n",
+      "dwell=%dus, %dms per point, cache shards=%zu, reactors=%d, %s\n\n",
       kArraySize, opt.tcp_depth > 0 ? "TCP" : "UDP", opt.dwell_us,
-      opt.duration_ms, kCacheShards, opt.reactors, opt.backend.c_str(),
+      opt.duration_ms, kCacheShards, opt.reactors,
       opt.tcp_depth > 0
           ? "pipelined TCP"
           : (opt.window > 0 ? "pipelined bursts" : "closed loop"));
@@ -466,18 +451,16 @@ void run(const Options& opt) {
     std::printf("open loop: %.0f offered calls/sec across clients\n\n",
                 opt.open_loop);
   }
-  std::printf("%-10s %-10s %-10s %-8s %14s %10s %10s\n", "workers",
-              "clients", "reactors", "backend", "calls/sec", "p50_us",
-              "p99_us");
+  std::printf("%-10s %-10s %-10s %14s %10s %10s\n", "workers", "clients",
+              "reactors", "calls/sec", "p50_us", "p99_us");
 
   core::SpecCache cache(64, kCacheShards);
   std::vector<Point> points;
   for (int w : {1, 4}) {
     for (int c : {1, 4, 16}) {
       Point p = run_point(cache, w, c, opt);
-      std::printf("%-10d %-10d %-10d %-8s %14.0f %10.0f %10.0f\n", p.workers,
-                  p.clients, p.reactors, p.backend.c_str(), p.calls_per_sec,
-                  p.p50_us, p.p99_us);
+      std::printf("%-10d %-10d %-10d %14.0f %10.0f %10.0f\n", p.workers,
+                  p.clients, p.reactors, p.calls_per_sec, p.p50_us, p.p99_us);
       points.push_back(p);
     }
   }
@@ -544,8 +527,6 @@ void run(const Options& opt) {
       jw.field("clients", p.clients);
       jw.field("reactors", p.reactors);
       jw.field("tcp_depth", p.tcp_depth);
-      jw.field("backend", p.backend);
-      jw.field("uring_enters", p.uring_enters);
       jw.field("calls_per_sec", p.calls_per_sec);
       jw.field("lat_count", p.lat_count);
       jw.field("p50_us", p.p50_us);
@@ -590,38 +571,16 @@ int main(int argc, char** argv) {
       opt.tcp_depth = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--open-loop") == 0 && i + 1 < argc) {
       opt.open_loop = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      opt.backend = argv[++i];
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      opt.backend = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--probe-uring") == 0) {
-      // CI gate: exit 0 when the uring backend can run here, 3 when the
-      // kernel (or TEMPO_URING=0) rules it out — lets workflows skip
-      // the uring A/B leg without parsing bench output.
-      const bool ok = tempo::rpc::EventServerRuntime::uring_supported();
-      std::printf("uring %s\n", ok ? "supported" : "unsupported");
-      return ok ? 0 : 3;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       opt.json_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--duration-ms N] [--dwell-us N] "
                    "[--window N] [--reactors N] [--tcp-depth N] "
-                   "[--open-loop RATE] [--backend auto|epoll|uring] "
-                   "[--probe-uring] [--json PATH|-]\n",
+                   "[--open-loop RATE] [--json PATH|-]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (opt.backend != "auto" && opt.backend != "epoll" &&
-      opt.backend != "uring") {
-    std::fprintf(stderr, "unknown --backend %s\n", opt.backend.c_str());
-    return 2;
-  }
-  if (opt.backend == "uring" &&
-      !tempo::rpc::EventServerRuntime::uring_supported()) {
-    std::fprintf(stderr, "--backend uring: not supported on this kernel\n");
-    return 3;
   }
   tempo::bench::run(opt);
   return 0;

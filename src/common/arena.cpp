@@ -87,20 +87,6 @@ void BufferArena::recycle(Bytes buf) {
   ++discards_;
 }
 
-std::size_t BufferArena::class_size_for(std::size_t n) const {
-  if (n == 0) n = 1;
-  const std::size_t ci = class_for_take(n);
-  return ci >= class_bytes_.size() ? n : class_bytes_[ci];
-}
-
-void BufferArena::pin(std::size_t bytes) {
-  bytes_pinned_ += static_cast<std::int64_t>(bytes);
-}
-
-void BufferArena::unpin(std::size_t bytes) {
-  bytes_pinned_ -= static_cast<std::int64_t>(bytes);
-}
-
 BufferArenaStats BufferArena::stats() const {
   BufferArenaStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
@@ -108,7 +94,6 @@ BufferArenaStats BufferArena::stats() const {
   s.recycles = recycles_.load(std::memory_order_relaxed);
   s.discards = discards_.load(std::memory_order_relaxed);
   s.bytes_pooled = bytes_pooled_.load(std::memory_order_relaxed);
-  s.bytes_pinned = bytes_pinned_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -66,9 +66,7 @@ struct BufferArenaStats {
   std::int64_t discards = 0;  // recycles dropped (class full, too small,
                               // or an oversize one-off)
   std::int64_t bytes_pooled = 0;  // bytes currently sitting in freelists
-  std::int64_t bytes_pinned = 0;  // bytes lent out under pin() (e.g. arena
-                                  // slices registered with an io_uring
-                                  // provided-buffer ring)
+  std::int64_t bytes_pinned = 0;  // always 0; perfbench.cpp:1556 reads it
 };
 
 class BufferArena {
@@ -89,21 +87,6 @@ class BufferArena {
   // callers should not shrink an arena buffer before recycling it.
   // Empty buffers are ignored.
   void recycle(Bytes buf);
-
-  // The class size take(n) would hand out for n (or n itself for an
-  // oversize take) — lets callers size kernel-visible buffers to the
-  // exact slice the arena will recycle.
-  std::size_t class_size_for(std::size_t n) const;
-
-  // Pin/unpin accounting for buffers whose memory the kernel holds a
-  // reference to (registered io_uring buffer rings).  The arena does
-  // not track the buffers themselves — the owner must keep the Bytes
-  // alive and MUST NOT recycle() a pinned buffer until the kernel
-  // reference is gone (unpin first; see src/net/README.md for the
-  // ownership contract).  Pure bookkeeping so stats()/metrics expose
-  // how many bytes sit under kernel ownership at any moment.
-  void pin(std::size_t bytes);
-  void unpin(std::size_t bytes);
 
   BufferArenaStats stats() const;
 
@@ -127,7 +110,6 @@ class BufferArena {
   mutable std::atomic<std::int64_t> recycles_{0};
   mutable std::atomic<std::int64_t> discards_{0};
   std::atomic<std::int64_t> bytes_pooled_{0};
-  std::atomic<std::int64_t> bytes_pinned_{0};
 };
 
 }  // namespace tempo::common

@@ -1,5 +1,5 @@
 // Unified observability plane (DESIGN: the measurement substrate for
-// overload control, io_uring A/B and the KV workload).
+// overload control and the KV workload).
 //
 // Three pieces, all allocation-free on the hot path:
 //

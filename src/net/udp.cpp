@@ -101,9 +101,14 @@ int UdpSocket::recv_many(std::vector<Datagram>& out, int max_msgs) {
       out[static_cast<std::size_t>(i)].payload.resize(kMaxDatagramBytes);
     }
   }
-  std::vector<mmsghdr> msgs(static_cast<std::size_t>(max_msgs));
-  std::vector<iovec> iovs(static_cast<std::size_t>(max_msgs));
-  std::vector<sockaddr_in> addrs(static_cast<std::size_t>(max_msgs));
+  // Reused per calling thread, like send_many's headers: a steady
+  // stream of batched receives does not hit the allocator.
+  thread_local std::vector<mmsghdr> msgs;
+  thread_local std::vector<iovec> iovs;
+  thread_local std::vector<sockaddr_in> addrs;
+  msgs.resize(static_cast<std::size_t>(max_msgs));
+  iovs.resize(static_cast<std::size_t>(max_msgs));
+  addrs.resize(static_cast<std::size_t>(max_msgs));
   for (int i = 0; i < max_msgs; ++i) {
     const auto u = static_cast<std::size_t>(i);
     iovs[u].iov_base = out[u].payload.data();
@@ -131,7 +136,7 @@ int UdpSocket::recv_many(std::vector<Datagram>& out, int max_msgs) {
 int UdpSocket::send_many(const OutDatagram* msgs, int count) {
   if (fd_ < 0 || count <= 0) return 0;
   // Reused per calling thread so a steady stream of batched flushes
-  // does not hit the allocator (mirrors recv_many's pooled buffers).
+  // does not hit the allocator.
   thread_local std::vector<mmsghdr> hdrs;
   thread_local std::vector<iovec> iovs;
   thread_local std::vector<sockaddr_in> addrs;

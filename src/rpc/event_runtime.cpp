@@ -4,18 +4,25 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/endian.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "rpc/shard_driver.h"
 #include "xdr/xdrrec.h"
 
 namespace tempo::rpc {
 
 namespace {
 
+// Datagrams per receive batch (one recvmmsg), and the worker's reply
+// flush threshold: a burst costs one batch in each direction.
+constexpr int kUdpBatch = 32;
+// Stream bytes per read_some, and reads per readiness event: a busy
+// connection yields the reactor after 256 KiB.
+constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr int kMaxReadsPerEvent = 4;
 // Once this many complete records queue on one connection, the shard
 // stops reading it (TCP flow control pushes back on the peer) until
 // dispatch catches up.
@@ -29,11 +36,6 @@ constexpr int kDrainTimeoutMs = 2000;
 constexpr int kStealTickMs = 50;
 
 }  // namespace
-
-EventServerRuntime::Shard::Shard(std::size_t idx, net::ReactorBackend be)
-    : index(idx), reactor(be) {}
-
-EventServerRuntime::Shard::~Shard() = default;
 
 EventServerRuntime::EventServerRuntime(SvcRegistry& registry,
                                        EventServerRuntimeConfig cfg)
@@ -73,7 +75,7 @@ Status EventServerRuntime::start() {
 
   shards_.reserve(nshards);
   for (std::size_t i = 0; i < nshards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, cfg_.backend));
+    shards_.push_back(std::make_unique<Shard>(i));
     if (!shards_.back()->reactor.ok()) {
       shards_.clear();
       return unavailable("EventServerRuntime: reactor init");
@@ -148,12 +150,22 @@ Status EventServerRuntime::start() {
                             [this](unsigned) { on_accept_ready(); });
   }
 
-  // Every failure point is behind us: give each shard its I/O driver
-  // and start datagram receive.  The shard threads are not running yet,
-  // so registration from the caller's thread is safe.
+  // Every failure point is behind us: start datagram receive.  The
+  // shard threads are not running yet, so registration from the
+  // caller's thread is safe.
   for (auto& sp : shards_) {
-    sp->driver = ShardDriver::create(*this, *sp);
-    if (sp->udp) sp->driver->start_udp();
+    if (!sp->udp) continue;
+    Shard* s = sp.get();
+    // Pre-fill every slot from the arena so recv_many never allocates
+    // its own kMaxDatagramBytes payloads — those are off-class (65000
+    // is not a power of two) and would demote to the 32 KiB class on
+    // recycle instead of serving later payload takes.
+    s->udp_batch.resize(static_cast<std::size_t>(kUdpBatch));
+    for (auto& d : s->udp_batch) {
+      d.payload = s->arena.take(net::kMaxDatagramBytes);
+    }
+    s->reactor.add(s->udp->fd(), net::kEventRead,
+                   [this, s](unsigned) { on_udp_readable(*s); });
   }
 
   // Shard-local worker pools: the `workers` total is split as evenly as
@@ -212,18 +224,9 @@ Status EventServerRuntime::start() {
         snap.add_counter("arena.recycles", a.recycles);
         snap.add_counter("arena.discards", a.discards);
         snap.add_gauge("arena.bytes_pooled", a.bytes_pooled);
-        snap.add_gauge("arena.bytes_pinned", a.bytes_pinned);
         snap.add_gauge("rpc.reactors",
                        static_cast<std::int64_t>(shards_.size()));
         snap.add_gauge("rpc.workers", worker_count_);
-        // Backend as a gauge so dashboards segment runs without string
-        // labels: 0 = none, 1 = epoll, 2 = uring (perfbench's net.backend
-        // encoding).
-        const char* be = backend();
-        snap.add_gauge("rpc.backend", std::strcmp(be, "uring") == 0   ? 2
-                                      : std::strcmp(be, "epoll") == 0 ? 1
-                                                                      : 0);
-        snap.add_counter("rpc.uring_enters", uring_enter_calls());
       });
 
   running_.store(true, std::memory_order_release);
@@ -311,14 +314,7 @@ common::BufferArenaStats EventServerRuntime::arena_stats() const {
     total.recycles += s.recycles;
     total.discards += s.discards;
     total.bytes_pooled += s.bytes_pooled;
-    total.bytes_pinned += s.bytes_pinned;
   }
-  return total;
-}
-
-std::int64_t EventServerRuntime::uring_enter_calls() const {
-  std::int64_t total = 0;
-  for (const auto& sp : shards_) total += sp->reactor.uring_enter_calls();
   return total;
 }
 
@@ -333,12 +329,6 @@ RuntimeLatencySnapshot EventServerRuntime::latency_snapshot() const {
   return out;
 }
 
-const char* EventServerRuntime::backend() const {
-  // Only a live shard knows which backend its reactor actually got (a
-  // ring that fails to set up falls back to epoll); don't guess.
-  return shards_.empty() ? "none" : shards_[0]->reactor.backend();
-}
-
 // ------------------------------------------------------ shard threads ---
 
 void EventServerRuntime::shard_loop(Shard& s) {
@@ -349,7 +339,7 @@ void EventServerRuntime::shard_loop(Shard& s) {
     s.reactor.poll_once(s.stalled_conns.empty() ? -1 : 5);
     retry_stalled(s);
   }
-  // Run straggler completions, give each connection one last
+  // Run straggler closures, give each connection one last
   // non-blocking flush, then close everything.  flush_conn can erase
   // entries, so iterate over a snapshot of ids.
   s.reactor.poll_once(0);
@@ -360,19 +350,14 @@ void EventServerRuntime::shard_loop(Shard& s) {
     auto it = s.conns.find(id);
     if (it != s.conns.end()) flush_conn(s, it->second);
   }
-  for (auto& [id, conn] : s.conns) s.driver->remove_conn(conn);
+  for (auto& [id, conn] : s.conns) s.reactor.remove(conn.sock->fd());
   s.conns.clear();
-  // Whatever the backend still holds (in-flight kernel ops, lent
-  // buffers) is released only once it is provably idle.  Late
-  // completions for the destroyed conns are tolerated — the conn-map
-  // lookup simply misses.
-  s.driver->teardown();
 }
 
 void EventServerRuntime::close_intake(Shard& s) {
   if (s.intake_closed) return;
   s.intake_closed = true;
-  if (s.udp) s.driver->stop_udp();
+  if (s.udp) s.reactor.remove(s.udp->fd());
   if (s.index == 0 && tcp_) s.reactor.remove(tcp_->fd());
   // Records parsed but not yet handed to the pool are dropped here so
   // the stop() drain has a fixed amount of work: exactly the jobs the
@@ -441,17 +426,28 @@ void EventServerRuntime::adopt_conn(Shard& s, int fd) {
   c.sock = std::move(sock);
   c.ring.resize(pipeline_depth_);
   auto [it, inserted] = s.conns.emplace(id, std::move(c));
-  if (!inserted || !s.driver->add_conn(it->second)) s.conns.erase(id);
+  if (!inserted) return;
+  // The handler captures the Conn itself (map nodes never move): it
+  // fires only while the fd is registered, and every path that erases
+  // a conn removes its fd first.
+  Conn* conn = &it->second;
+  if (!s.reactor.add(conn->sock->fd(), net::kEventRead,
+                     [this, conn](unsigned events) {
+                       on_conn_event(*conn, events);
+                     })) {
+    s.conns.erase(it);
+  }
 }
 
-void EventServerRuntime::on_conn_io(Shard& s, std::uint64_t id,
-                                    bool writable) {
-  // The driver's read and flush_conn can both destroy the connection
-  // (protocol violation, write error); re-resolve the map entry after
-  // each.
+void EventServerRuntime::on_conn_event(Conn& c, unsigned events) {
+  Shard& s = *shards_[c.shard];
+  const std::uint64_t id = c.id;
+  if (events & net::kEventRead) read_conn(s, c);
+  // read_conn and flush_conn can both destroy the connection (protocol
+  // violation, write error); re-resolve the map entry after each.
   auto it = s.conns.find(id);
   if (it == s.conns.end()) return;
-  if (writable) {
+  if (events & net::kEventWrite) {
     flush_conn(s, it->second);
     it = s.conns.find(id);
     if (it == s.conns.end()) return;
@@ -460,11 +456,22 @@ void EventServerRuntime::on_conn_io(Shard& s, std::uint64_t id,
   finish_conn_if_idle(s, it->second);
 }
 
-bool EventServerRuntime::feed_conn(Shard& s, Conn& c, ByteSpan bytes) {
-  if (parse_records(s, c, bytes)) return true;
-  ++stats_.conn_resets;
-  destroy_conn(s, c.id);
-  return false;
+void EventServerRuntime::read_conn(Shard& s, Conn& c) {
+  if (c.peer_eof) return;
+  std::uint8_t chunk[kReadChunk];
+  for (int i = 0; i < kMaxReadsPerEvent; ++i) {
+    auto r = c.sock->read_some(MutableByteSpan(chunk, sizeof(chunk)),
+                               /*timeout_ms=*/0);
+    if (!r.is_ok()) {
+      if (r.status().code() != StatusCode::kTimeout) c.peer_eof = true;
+      return;
+    }
+    if (!parse_records(s, c, ByteSpan(chunk, *r))) {
+      ++stats_.conn_resets;
+      destroy_conn(s, c.id);
+      return;
+    }
+  }
 }
 
 bool EventServerRuntime::parse_records(Shard& s, Conn& c, ByteSpan chunk) {
@@ -616,7 +623,9 @@ void EventServerRuntime::finish_conn_if_idle(Shard& s, Conn& c) {
     destroy_conn(s, c.id);
     return;
   }
-  s.driver->set_interest(c, want);
+  if (c.interest != want && s.reactor.set_interest(c.sock->fd(), want)) {
+    c.interest = want;
+  }
 }
 
 void EventServerRuntime::destroy_conn(Shard& s, std::uint64_t id) {
@@ -632,7 +641,7 @@ void EventServerRuntime::destroy_conn(Shard& s, std::uint64_t id) {
     if (slot.ready) s.arena.recycle(std::move(slot.frame.buf));
   }
   s.arena.recycle(std::move(c.out_buf));
-  s.driver->remove_conn(c);
+  s.reactor.remove(c.sock->fd());
   s.conns.erase(it);  // unique_ptr closes the socket
 }
 
@@ -721,6 +730,23 @@ void EventServerRuntime::on_reply(Shard& s, std::uint64_t conn_id,
     finish_conn_if_idle(s, again->second);
   }
   pending_jobs_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void EventServerRuntime::on_udp_readable(Shard& s) {
+  const int n = s.udp->recv_many(s.udp_batch, kUdpBatch);
+  if (n <= 0) return;
+  // One clock read per recvmmsg, shared by every datagram of the batch.
+  const std::int64_t recv_ns = metrics_on_ ? common::monotonic_ns() : 0;
+  for (int i = 0; i < n; ++i) {
+    net::Datagram& d = s.udp_batch[static_cast<std::size_t>(i)];
+    s.udp_jobs.push_back(
+        UdpDatagramJob{s.index, d.src, std::move(d.payload), d.len, recv_ns});
+    // Refill the moved-out slot from this shard's arena (buffers the
+    // workers finished with come back here) so the next recv_many
+    // neither allocates nor zero-fills in steady state.
+    d.payload = s.arena.take(net::kMaxDatagramBytes);
+  }
+  push_datagram_jobs(s, s.udp_jobs);
 }
 
 // ------------------------------------------------------- worker side ---
@@ -901,7 +927,7 @@ void EventServerRuntime::serve_udp_datagram(UdpDatagramJob& job,
   bool traced = false;
   if (tracer_ && tracer_->should_sample()) {
     const std::uint32_t xid =
-        job.len >= 4 ? load_be32(job.payload.data() + job.off) : 0;
+        job.len >= 4 ? load_be32(job.payload.data()) : 0;
     tracer_->begin(xid, static_cast<std::uint16_t>(job.shard), worker_id,
                    queue_wait);
     traced = true;
@@ -914,7 +940,7 @@ void EventServerRuntime::serve_udp_datagram(UdpDatagramJob& job,
       std::min(reply_capacity(job.len), net::kMaxUdpPayloadBytes);
   Bytes out = arena.take(cap);
   const std::size_t n =
-      registry_.handle_request(ByteSpan(job.payload.data() + job.off, job.len),
+      registry_.handle_request(ByteSpan(job.payload.data(), job.len),
                                MutableByteSpan(out.data(), cap));
   arena.recycle(std::move(job.payload));
   if (metrics_on_) origin.handle_hist.record(common::monotonic_ns() - pop_ns);
@@ -940,13 +966,62 @@ void EventServerRuntime::flush_udp_replies(ReplyAccumulator& acc) {
   for (std::size_t si = 0; si < acc.per_shard.size(); ++si) {
     auto& bucket = acc.per_shard[si];
     if (bucket.empty()) continue;
-    // The driver takes every buffer; the e2e stamp, buffer recycle and
-    // pending_jobs_ decrement happen once each reply has left (or
+    // send_replies takes every buffer; the e2e stamp, buffer recycle
+    // and pending_jobs_ decrement happen once each reply has left (or
     // failed), so stop()'s drain covers sends in flight.
-    shards_[si]->driver->send_replies(bucket);
+    send_replies(*shards_[si], bucket);
     bucket.clear();
   }
   acc.total = 0;
+}
+
+void EventServerRuntime::send_replies(Shard& s,
+                                      std::vector<UdpReply>& bucket) {
+  // Reused per worker thread: the flush path, like the receive path,
+  // must not allocate in steady state.
+  thread_local std::vector<net::OutDatagram> msgs;
+  const int total = static_cast<int>(bucket.size());
+  msgs.resize(bucket.size());
+  for (std::size_t i = 0; i < bucket.size(); ++i) {
+    msgs[i].dst = bucket[i].dst;
+    msgs[i].payload = ByteSpan(bucket[i].buf.data(), bucket[i].len);
+  }
+  ++stats_.udp_reply_batches;
+  const int sent = s.udp->send_many(msgs.data(), total);
+  if (sent > 0 && metrics_on_) {
+    // One clock read per flush covers the whole sent prefix; e2e is
+    // recorded only for replies that actually left (the stress books
+    // equate histogram totals with successful sends).
+    const std::int64_t now = common::monotonic_ns();
+    for (int i = 0; i < sent; ++i) {
+      const auto& r = bucket[static_cast<std::size_t>(i)];
+      if (r.recv_ns > 0) s.udp_e2e_hist.record(now - r.recv_ns);
+    }
+  }
+  if (sent < total) {
+    // The kernel refused the tail (EWOULDBLOCK on the non-blocking
+    // socket, ENOBUFS, ...).  Retry once on the shard's reactor thread
+    // instead of dropping silently; what it still refuses is counted.
+    stats_.reply_send_retries += total - sent;
+    std::vector<UdpReply> tail(std::make_move_iterator(bucket.begin() + sent),
+                               std::make_move_iterator(bucket.end()));
+    Shard* sp = &s;
+    s.reactor.post([this, sp, tail = std::move(tail)]() mutable {
+      for (auto& r : tail) {
+        if (!sp->udp->send_to(r.dst, ByteSpan(r.buf.data(), r.len)).is_ok()) {
+          ++stats_.reply_send_failures;
+        } else if (r.recv_ns > 0) {
+          // recv_ns > 0 implies metrics were on when it was stamped.
+          sp->udp_e2e_hist.record(common::monotonic_ns() - r.recv_ns);
+        }
+        sp->arena.recycle(std::move(r.buf));
+      }
+    });
+  }
+  for (int i = 0; i < sent; ++i) {
+    s.arena.recycle(std::move(bucket[static_cast<std::size_t>(i)].buf));
+  }
+  pending_jobs_.fetch_sub(total, std::memory_order_acq_rel);
 }
 
 void EventServerRuntime::serve_tcp_request(TcpRequestJob& job, Bytes& scratch,

@@ -13,10 +13,10 @@
 //     path crosses no global lock.  Idle workers steal from sibling
 //     shards' queues so a skewed flow-hash dispersal cannot strand
 //     capacity (stats().work_steals counts);
-//   * datagrams arrive in batches — one syscall (or one CQ drain) per
-//     burst, not per datagram — and replies flush back out through
-//     per-worker, per-shard accumulators on the shard that received the
-//     request, so a burst pairs one batch in BOTH directions;
+//   * datagrams arrive in batches — one recvmmsg per burst, not per
+//     datagram — and replies flush back out through per-worker,
+//     per-shard accumulators on the shard that received the request,
+//     so a burst pairs one batch in BOTH directions;
 //   * the TCP listener lives on shard 0; an accepted connection is
 //     handed round-robin to its owning shard by posting the socket to
 //     that shard's reactor, which wraps and owns it from then on.  Each
@@ -41,11 +41,12 @@
 // residual-plan fast path engages on TCP too, which an xdrrec stream
 // (rpc::TcpServer) can never offer.
 //
-// The I/O seam: this class is the backend-agnostic shard core.  How
-// bytes move — readiness + recvmmsg/read/sendmmsg on epoll, or
-// multishot receives into a registered buffer ring plus linked sends on
-// io_uring — belongs to one ShardDriver per shard (shard_driver.h);
-// the core never tests which backend it runs on.
+// How bytes move: each shard's epoll reactor reports readiness; a
+// readable UDP socket is drained with one recvmmsg into the shard's
+// receive batch, a readable connection with non-blocking reads into
+// its record reassembly, and each worker sends its reply bucket with
+// one sendmmsg (the tail the kernel refuses is retried once on the
+// shard's reactor thread).
 //
 // Ownership (see src/net/README.md for the full model): each shard's
 // reactor thread exclusively owns that shard's connection state;
@@ -102,13 +103,6 @@ struct EventServerRuntimeConfig {
   // Per-connection cap on buffered reply bytes; a peer that stops
   // reading past it is reset.
   std::size_t max_write_buffer = 4u << 20;
-  // Reactor backend every shard uses.  kAuto prefers io_uring when the
-  // running kernel supports everything the backend needs (probed once)
-  // and otherwise falls back to epoll — kernels without io_uring,
-  // seccomp-filtered containers, and the TEMPO_URING=0 kill switch all
-  // land on epoll with no configuration change.  kEpoll pins epoll.
-  // backend() reports what actually runs.
-  net::ReactorBackend backend = net::ReactorBackend::kAuto;
   // Request-stage tracing: trace 1 in trace_sample requests (0 = off;
   // falls back to the TEMPO_TRACE_SAMPLE env var when 0) into
   // per-shard rings of trace_ring records each.  See "Observability"
@@ -171,14 +165,10 @@ class EventServerRuntime {
   // `misses` is the runtimes' `arena_misses`: takes the pool could not
   // serve and had to send to the allocator.
   common::BufferArenaStats arena_stats() const;
-  const char* backend() const;
-  // True when cfg.backend = kAuto selects the io_uring backend on this
-  // kernel.
-  static bool uring_supported() { return net::Reactor::uring_supported(); }
-  // Total io_uring_enter syscalls across shards (0 on other backends;
-  // valid between start() and stop()) — the bench divides by calls to
-  // report syscalls per request.
-  std::int64_t uring_enter_calls() const;
+  // "epoll" while running, else "none"; perfbench.cpp:1428 reads it.
+  const char* backend() const { return running() ? "epoll" : "none"; }
+  // Always 0; perfbench.cpp:1299 reads it.
+  std::int64_t uring_enter_calls() const { return 0; }
   // Shards actually running (valid between start() and stop()).
   int reactor_count() const { return static_cast<int>(shards_.size()); }
   // Worker threads actually running across all shards.
@@ -236,7 +226,7 @@ class EventServerRuntime {
     std::uint64_t id = 0;
     std::size_t shard = 0;  // owning shard index, fixed for life
     std::unique_ptr<net::TcpConn> sock;
-    // The read/write interest the shard's driver last applied.
+    // The read/write interest last applied to the shard's reactor.
     unsigned interest = net::kEventRead;
     // Record-marking reassembly (RFC 1057 §10): 4-byte fragment header,
     // then payload; top bit marks the record's last fragment.
@@ -265,7 +255,7 @@ class EventServerRuntime {
   // `len` valid bytes; the worker recycles it into the origin shard's
   // arena, so the receive path neither allocates nor zero-fills in
   // steady state.  `shard` names the socket the datagram arrived on —
-  // the reply goes back out through that shard's driver.
+  // the reply goes back out through that shard's socket.
   struct UdpDatagramJob {
     std::size_t shard = 0;
     net::Addr src;
@@ -275,10 +265,6 @@ class EventServerRuntime {
     // the receive path pays one clock read per batch, not per
     // datagram); 0 with metrics off.
     std::int64_t recv_ns = 0;
-    // Payload starts at payload.data() + off: zero when the datagram
-    // was received into a bare payload buffer, a header's size when it
-    // stays where the kernel wrote it behind one (nothing is memmoved).
-    std::size_t off = 0;
   };
   struct TcpRequestJob {
     std::size_t shard = 0;
@@ -290,7 +276,7 @@ class EventServerRuntime {
 
   // One encoded-but-unsent UDP reply in a worker's accumulator: `buf`
   // is an arena buffer with `len` valid bytes.  Accumulated replies
-  // flush through the origin shard's driver as one batch, pairing with
+  // flush through the origin shard's socket as one batch, pairing with
   // the batched receive path.  Accumulators are kept per shard so each
   // flush goes out the right socket (work stealing means a worker can
   // hold replies for several shards).
@@ -308,28 +294,19 @@ class EventServerRuntime {
     std::size_t total = 0;
   };
 
-  // How bytes move for one shard (shard_driver.h): the interface, and
-  // its readiness (epoll) and io_uring implementations.  Nested so the
-  // drivers feed the core's private pipeline directly.
-  class ShardDriver;
-  class ReadinessDriver;
-  class UringDriver;
-
   // One reactor shard: an event loop thread plus everything it
   // exclusively owns, and its slice of the execution pipeline (worker
   // pool + bounded job queue + buffer arena).  Shards live in
   // unique_ptrs so Shard* captures in reactor callbacks stay stable.
   struct Shard {
-    // Both out of line: ShardDriver is incomplete here, and the inline
-    // bodies would instantiate its destructor (unwind cleanup).
-    Shard(std::size_t idx, net::ReactorBackend be);
-    ~Shard();
+    explicit Shard(std::size_t idx) : index(idx) {}
     std::size_t index;
     net::Reactor reactor;
-    // Set in start() before any thread runs; lives until the shard dies,
-    // so workers may call send_replies on it at any time in between.
-    std::unique_ptr<ShardDriver> driver;
     std::unique_ptr<net::UdpSocket> udp;  // null on non-receiving shards
+    // recvmmsg batch buffers and the jobs built from them, reused across
+    // on_udp_readable calls; reactor-thread-only, so no lock.
+    std::vector<net::Datagram> udp_batch;
+    std::vector<UdpDatagramJob> udp_jobs;
     std::unordered_map<std::uint64_t, Conn> conns;
     std::uint64_t next_conn_id = 1;  // ids are per-shard; (shard, id) is
                                      // the global connection name
@@ -367,15 +344,17 @@ class EventServerRuntime {
   // ---- reactor-shard handlers (run on that shard's thread) ------------
   void shard_loop(Shard& s);
   void on_accept_ready();  // shard 0 only (owns the listener)
+  // Drains s.udp with one recvmmsg and queues the batch as jobs.
+  void on_udp_readable(Shard& s);
   // Wraps a handed-off fd into a Conn owned by shard `s`.
   void adopt_conn(Shard& s, int fd);
-  // Continuation after the driver moved bytes for conn `id`: flush if
-  // the socket turned writable, dispatch ready records, then settle the
+  // Readiness on conn `c`: read into its record reassembly, flush if the
+  // socket turned writable, dispatch ready records, then settle the
   // conn's interest (or close it).
-  void on_conn_io(Shard& s, std::uint64_t id, bool writable);
-  // Feeds received stream bytes into c's record reassembly; a protocol
-  // violation resets and destroys the conn (returns false).
-  bool feed_conn(Shard& s, Conn& c, ByteSpan bytes);
+  void on_conn_event(Conn& c, unsigned events);
+  // Non-blocking reads into c's record reassembly; a protocol violation
+  // resets and destroys the conn.
+  void read_conn(Shard& s, Conn& c);
   bool parse_records(Shard& s, Conn& conn,
                      ByteSpan chunk);  // false = protocol violation
   void dispatch_ready(Shard& s, Conn& conn);
@@ -408,8 +387,14 @@ class EventServerRuntime {
   // in `acc` (flushed by flush_udp_replies), not on the wire yet.
   void serve_udp_datagram(UdpDatagramJob& job, ReplyAccumulator& acc,
                           std::uint16_t worker_id);
-  // Hands each non-empty shard bucket to that shard's driver.
+  // Sends each non-empty shard bucket through send_replies.
   void flush_udp_replies(ReplyAccumulator& acc);
+  // Sends one worker's bucket of replies that originated on shard `s`
+  // with one sendmmsg, taking every buffer.  Records each reply's e2e
+  // sample, recycles its buffer and retires its pending job once it has
+  // left; the tail the kernel refuses is retried once on s's reactor
+  // thread, and what still fails is counted.
+  void send_replies(Shard& s, std::vector<UdpReply>& bucket);
   // `scratch` is the worker's persistent stream-reply encode buffer
   // (grown through `scratch_arena`, the worker's home arena): the
   // encode needs kMaxStreamReplyBytes of headroom, but only the framed

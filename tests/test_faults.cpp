@@ -5,8 +5,7 @@
 // against inline sim-endpoint servers.  This file ports that suite to
 // the real loopback runtime through a deterministic UDP fault proxy,
 // and parameterizes every case over single- and multi-shard
-// EventServerRuntime on both event paths (epoll and io_uring), so each
-// gets the same adversarial coverage:
+// EventServerRuntime, so each gets the same adversarial coverage:
 //
 //   * a dropped request or reply drives the client's retransmission
 //     path against a live runtime;
@@ -72,8 +71,6 @@ using test::UdpFaultProxy;
 enum class RuntimeKind {
   kReactor,
   kReactorSharded,
-  kReactorUring,
-  kReactorShardedUring,
 };
 
 const char* kind_name(RuntimeKind k) {
@@ -82,32 +79,15 @@ const char* kind_name(RuntimeKind k) {
       return "reactor";
     case RuntimeKind::kReactorSharded:
       return "reactor4";
-    case RuntimeKind::kReactorUring:
-      return "reactor_uring";
-    case RuntimeKind::kReactorShardedUring:
-      return "reactor4_uring";
   }
   return "?";
-}
-
-bool kind_is_uring(RuntimeKind k) {
-  return k == RuntimeKind::kReactorUring ||
-         k == RuntimeKind::kReactorShardedUring;
 }
 
 std::unique_ptr<rpc::EventServerRuntime> make_runtime(RuntimeKind kind,
                                                       rpc::SvcRegistry& reg) {
   rpc::EventServerRuntimeConfig cfg;
   cfg.workers = 2;
-  cfg.reactors = (kind == RuntimeKind::kReactorSharded ||
-                  kind == RuntimeKind::kReactorShardedUring)
-                     ? 4
-                     : 1;
-  // The epoll rows stay epoll even on uring-capable kernels so the
-  // fault matrix always covers both event paths explicitly; the uring
-  // rows run kAuto, which is io_uring wherever they are not skipped.
-  cfg.backend = kind_is_uring(kind) ? net::ReactorBackend::kAuto
-                                    : net::ReactorBackend::kEpoll;
+  cfg.reactors = kind == RuntimeKind::kReactorSharded ? 4 : 1;
   cfg.enable_tcp = false;
   return std::make_unique<rpc::EventServerRuntime>(reg, cfg);
 }
@@ -118,10 +98,6 @@ std::unique_ptr<rpc::EventServerRuntime> make_runtime(RuntimeKind kind,
 class RuntimeFaults : public ::testing::TestWithParam<RuntimeKind> {
  protected:
   void SetUp() override {
-    if (kind_is_uring(GetParam()) &&
-        !rpc::EventServerRuntime::uring_supported()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
     cache_ = std::make_unique<core::SpecCache>(32, 4);
     service_ = std::make_unique<core::CachedSpecService>(
         *cache_, echo_array_proc(), kProg, kVers,
@@ -292,9 +268,7 @@ TEST_P(RuntimeFaults, GenericClientConvergesUnderSameFaults) {
 
 INSTANTIATE_TEST_SUITE_P(EventPaths, RuntimeFaults,
                          ::testing::Values(RuntimeKind::kReactor,
-                                           RuntimeKind::kReactorSharded,
-                                           RuntimeKind::kReactorUring,
-                                           RuntimeKind::kReactorShardedUring),
+                                           RuntimeKind::kReactorSharded),
                          [](const auto& info) {
                            return kind_name(info.param);
                          });

@@ -30,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -86,19 +85,6 @@ int stress_tcp_depth() {
 bool stress_kv_enabled() {
   const char* e = std::getenv("TEMPO_STRESS_KV");
   return e != nullptr && *e != '\0' && *e != '0';
-}
-
-// TEMPO_STRESS_BACKEND={auto,epoll,uring} pins the reactor backend for
-// every soak runtime; CI's sanitizer lanes run the suite once per event
-// path.  "uring" (like "auto" or unset) is kAuto: io_uring wherever the
-// kernel supports it, the epoll fallback elsewhere — the soak still
-// runs.
-net::ReactorBackend stress_backend() {
-  const char* e = std::getenv("TEMPO_STRESS_BACKEND");
-  if (e != nullptr && std::strcmp(e, "epoll") == 0) {
-    return net::ReactorBackend::kEpoll;
-  }
-  return net::ReactorBackend::kAuto;
 }
 
 // One RNG instance per client thread: deterministic given the seed,
@@ -185,7 +171,6 @@ TEST(StressSoak, MixedRandomTrafficBalancesTheBooks) {
   rpc::EventServerRuntimeConfig cfg;
   cfg.workers = 4;
   cfg.reactors = 4;
-  cfg.backend = stress_backend();
   // Trace EVERY request through the soak: the stage-attribution
   // arithmetic must hold under full concurrency, aborts and overload,
   // not just on the happy path.
@@ -568,7 +553,6 @@ TEST(StressSoak, KvClientMixBalancesCommitAndReplicaBooks) {
   rpc::EventServerRuntimeConfig primary_cfg;
   primary_cfg.workers = 2;
   primary_cfg.enable_tcp = false;
-  primary_cfg.backend = stress_backend();
   rpc::EventServerRuntime primary_rt(primary_reg, primary_cfg);
   ASSERT_TRUE(primary_rt.start().is_ok());
 
@@ -578,7 +562,6 @@ TEST(StressSoak, KvClientMixBalancesCommitAndReplicaBooks) {
   rpc::EventServerRuntimeConfig replica_cfg;
   replica_cfg.workers = 2;
   replica_cfg.enable_tcp = false;
-  replica_cfg.backend = stress_backend();
   rpc::EventServerRuntime replica_rt(replica_reg, replica_cfg);
   ASSERT_TRUE(replica_rt.start().is_ok());
 

@@ -7,8 +7,8 @@ Usage:
         [--key-fields f1,f2,...]
 
 Points are matched on the configuration key — by default the
-bench_concurrent fields (workers, clients, reactors, tcp_depth,
-backend); other benches pass --key-fields (e.g. bench_kv uses
+bench_concurrent fields (workers, clients, reactors, tcp_depth);
+other benches pass --key-fields (e.g. bench_kv uses
 mode,writers,value_bytes).  For each matched pair
 the script flags
 
@@ -27,8 +27,7 @@ import json
 import sys
 
 
-DEFAULT_KEY_FIELDS = ("workers", "clients", "reactors", "tcp_depth",
-                      "backend")
+DEFAULT_KEY_FIELDS = ("workers", "clients", "reactors", "tcp_depth")
 
 
 def config_key(point, fields):
