@@ -11,11 +11,17 @@ using pe::ExecStatus;
 SpecializedService::SpecializedService(const SpecializedInterface& iface,
                                        WordHandler handler)
     : iface_(iface), handler_(std::move(handler)) {
+  // The pinned interface either runs compiled stubs or it does not, so
+  // every fast-path call lands in one tier: jit when it has stubs, plan
+  // otherwise (the same split CachedSpecService reports).
   metrics_source_ =
       common::metrics().add_source([this](common::MetricsSnapshot& snap) {
+        const std::int64_t jit = iface_.jit_active() ? stats_.fast_path : 0;
         snap.add_counter("service.fast_path", stats_.fast_path);
         snap.add_counter("service.generic_path", stats_.generic_path);
-        snap.add_counter("service.tier_plan", stats_.fast_path);
+        snap.add_counter("service.jit_fast_path", jit);
+        snap.add_counter("service.tier_jit", jit);
+        snap.add_counter("service.tier_plan", stats_.fast_path - jit);
         snap.add_counter("service.tier_generic", stats_.generic_path);
       });
 }
@@ -148,20 +154,15 @@ bool CachedSpecService::encode_results(const SpecializedInterface& iface,
 bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   const std::size_t pos = in.getpos();
 
-  SpecHandle h = hot();
+  // The hot handle is the specialization the generic path last learned;
+  // the fast path runs it without consulting the cache, and the handle
+  // keeps the interface alive even after the cache evicts its entry.
+  const SpecHandle h = hot();
   if (h) {
-    // Re-resolve the residual plan through the cache on every call: the
-    // memo lookup counts the hit, keeps the LRU ordering honest for
-    // actively served shapes, and transparently picks up a rebuilt
-    // instance if the entry was evicted meanwhile.
-    auto refreshed = cache_.get_or_build(proc_, prog_, vers_, h->config());
-    if (refreshed.is_ok()) h = *refreshed;
     // Stage marks are no-ops unless the runtime sampled this request
     // (one thread_local null check), so the unsampled hot path pays
     // nothing.
     common::trace_mark(common::TraceStage::kCacheLookup);
-  }
-  if (h) {
     PathResult r = PathResult::kStreamOpaque;
     const pe::Plan& dplan = h->decode_args_plan();
     std::uint8_t* in_bytes =

@@ -58,23 +58,23 @@ class SpecializedService {
 
 // Dynamic sibling of SpecializedService for servers whose clients send
 // *varying* array shapes.  Instead of one pinned specialization it
-// resolves each request's residual plans through a SpecCache:
+// learns each request's shape and resolves its residual plans through a
+// SpecCache:
 //
-//  * fast path — the most recently used specialization for this proc is
-//    tried first; its decode plan's guards (count words, lengths) verify
-//    the request actually has that shape.  ExecStatus::kFallback rewinds
-//    the stream and drops to the generic path (guarded specialization,
-//    paper §6.2).
+//  * fast path — the most recently learned specialization for this proc
+//    (`hot_`) is tried first; its decode plan's guards (count words,
+//    lengths) verify the request actually has that shape.  The cache is
+//    not consulted.  ExecStatus::kFallback rewinds the stream and drops
+//    to the generic path (guarded specialization, paper §6.2).
 //  * generic path — the layered interpreter decodes the value, the
 //    actual counts are collected, and the matching specialization is
 //    fetched (or built once) from the cache so the *reply* is still
-//    encoded through a residual plan and the *next* request of this
-//    shape hits the fast path.
+//    encoded through a residual plan; it becomes `hot_`, so the *next*
+//    request of this shape hits the fast path.
 //
 // Thread-safe: handle() may run on many worker threads concurrently
-// (see rpc::EventServerRuntime); stats are atomic and the hot-spec slot is
-// an atomic<shared_ptr> — the fast path reads it without any lock,
-// matching the lock-free hot-spec slot inside SpecCache itself.
+// (see rpc::EventServerRuntime); stats are atomic and `hot_` is an
+// atomic<shared_ptr>, so the fast path takes no mutex.
 class CachedSpecService {
  public:
   // Application logic on flattened slots, shape passed explicitly:
@@ -90,7 +90,7 @@ class CachedSpecService {
   struct Stats {
     std::atomic<std::int64_t> fast_path{0};     // served fully by plans
     std::atomic<std::int64_t> generic_path{0};  // interpreter decode
-    std::atomic<std::int64_t> plan_fallbacks{0};  // hot-spec guard misses
+    std::atomic<std::int64_t> plan_fallbacks{0};  // hot_ guard misses
     std::atomic<std::int64_t> spec_unavailable{0};  // cache build failed
     // Subset of fast_path served by an interface with compiled stubs
     // (the third tier; equals fast_path when the JIT is on and the
@@ -121,6 +121,8 @@ class CachedSpecService {
   CountMapper res_counts_for_;
   SpecConfig base_;  // unroll_factor / buffer_bytes template for cache keys
   Stats stats_;
+  // The only hot-shape slot: the fast path runs it, the generic path
+  // replaces it.
   std::atomic<SpecHandle> hot_{nullptr};
   // Folds service.* (with the jit/plan/generic tier split) into the
   // global registry.  Last member so it unregisters before stats_ dies.

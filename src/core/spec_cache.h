@@ -25,31 +25,11 @@
 // OOM.  Failed builds (plan-ineligible types) are negative-cached so a
 // hostile client cannot force a pipeline run per request.
 //
-// Sharding: with the event-driven runtime pushing tens of thousands of
-// lookups per second from many workers, one mutex around the whole
-// table becomes the next bottleneck.  The cache is therefore split into
-// `shards` independently-locked sub-caches; a key's hash picks its
-// shard, so "at most one build per key" still holds (a key lives in
-// exactly one shard) and shards never contend with each other.  The
-// total capacity is divided evenly across shards (each gets at least
-// 1 slot); stats()/size() aggregate.  The default of 1 shard preserves
-// the exact global-LRU semantics the single-lock cache had.
-//
-// Hot-spec slot (RCU-style): real servers are wildly skewed — one array
-// shape takes ~99.99% of requests — so even the sharded lock is pure
-// overhead on that key.  The cache therefore publishes the hottest
-// (key, interface) pair through an atomic<shared_ptr> read before any
-// lock is taken: a fast-path hit is one atomic load plus a key compare,
-// zero mutexes.  Publication is driven by shard-local hit-count epochs:
-// every kHotPublishEpoch LOCKED hits an entry accumulates (hot-slot
-// hits don't count — a published entry stops re-publishing itself), it
-// is re-published, so whichever key is actually taking the locked
-// traffic claims the slot and a workload shift self-corrects.  Readers
-// of a stale slot are still correct — entries are immutable and keyed,
-// a mismatch just falls through to the shard — and the slot keeps its
-// interface alive across LRU eviction exactly like any caller-held
-// SpecHandle (served hits count in stats().hot_hits; stats().hits
-// includes them).
+// Locking: one mutex guards the map, the LRU list and the counters.
+// Only the generic request path consults the cache — a server's hot
+// shape lives in CachedSpecService's own handle — so the lock is taken
+// once per request whose shape must be learned, never per fast-path
+// call.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +66,9 @@ struct SpecKeyHash {
 
 struct SpecCacheStats {
   std::int64_t hits = 0;        // served from a ready or in-flight entry
-                                // (INCLUDES hot-slot hits)
   std::int64_t misses = 0;      // builds initiated (one per distinct key)
   std::int64_t evictions = 0;   // LRU entries dropped at capacity
   std::int64_t build_failures = 0;
-  std::int64_t hot_hits = 0;    // subset of hits served lock-free from
-                                // the published hot-spec slot
   std::int64_t jit_stubs = 0;   // native stubs compiled across all builds
                                 // (up to 4 per interface; 0 with the
                                 // TEMPO_PLAN_JIT knob off)
@@ -105,25 +82,12 @@ using SpecHandle = std::shared_ptr<const SpecializedInterface>;
 
 class SpecCache {
  public:
-  // Locked hits an entry must accumulate between publications of the
-  // hot-spec slot.  Small enough that a hot key claims the slot within
-  // microseconds of real traffic; large enough that a uniform workload
-  // does not thrash the slot.
-  static constexpr std::int64_t kHotPublishEpoch = 64;
-  // Every kHotRefreshPeriod-th hot-slot hit deliberately takes the
-  // locked path instead, to re-touch the hot key's shard LRU entry.
-  // Without this the hottest key — served lock-free, never touched —
-  // becomes the LRU-COLDEST entry in its shard and is preferentially
-  // evicted under capacity pressure, turning a later slot displacement
-  // into a full rebuild of the most expensive possible miss.
-  static constexpr std::int64_t kHotRefreshPeriod = 256;
-
-  explicit SpecCache(std::size_t capacity = 128, std::size_t shards = 1);
+  explicit SpecCache(std::size_t capacity = 128);
 
   // Returns the interface for the key derived from
   // (prog, vers, proc.number, config), building it at most once.
   // A non-OK result reproduces the (cached) build failure.
-  // no_thread_safety_analysis: the shard lock is released mid-scope
+  // no_thread_safety_analysis: the lock is released mid-scope
   // through a unique_lock (build runs outside it), a dynamic pattern
   // the scope-based checker cannot follow.
   Result<SpecHandle> get_or_build(const idl::ProcDef& proc,
@@ -131,65 +95,32 @@ class SpecCache {
                                   const SpecConfig& config)
       TEMPO_NO_THREAD_SAFETY_ANALYSIS;
 
-  SpecCacheStats stats() const;      // aggregated across shards
+  SpecCacheStats stats() const;
   std::size_t size() const;          // ready entries currently cached
   std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
-  // Per-shard counters, for tests and shard-balance diagnostics.
-  SpecCacheStats shard_stats(std::size_t shard) const;
-  std::size_t shard_size(std::size_t shard) const;
 
  private:
   struct Entry {
     bool ready = false;
     SpecHandle iface;                 // null on build failure
     Status error = Status::ok();
-    std::list<SpecKey>::iterator lru_it{};
-    bool in_lru = false;
-    std::int64_t locked_hits = 0;     // drives hot-slot publication
+    std::list<SpecKey>::iterator lru_it{};  // valid while ready in map_
   };
 
-  // What the hot slot publishes: an immutable (key, interface) pair.
-  // Readers hold it via shared_ptr, so a concurrent re-publication
-  // never invalidates an in-progress fast-path read.
-  struct HotSlot {
-    SpecKey key;
-    SpecHandle iface;
-  };
-
-  // One independently-locked sub-cache; a key's hash selects its shard.
-  struct Shard {
-    mutable std::mutex mu;
-    std::condition_variable ready_cv;
-    std::unordered_map<SpecKey, std::shared_ptr<Entry>, SpecKeyHash> map
-        TEMPO_GUARDED_BY(mu);
-    std::list<SpecKey> lru TEMPO_GUARDED_BY(mu);  // front = most recently
-                                                  // used; ready only
-    SpecCacheStats stats TEMPO_GUARDED_BY(mu);
-    std::size_t capacity = 1;  // set once at construction, then read-only
-
-    void touch_locked(Entry& e, const SpecKey& key) TEMPO_REQUIRES(mu);
-    void insert_lru_locked(const std::shared_ptr<Entry>& e,
-                           const SpecKey& key) TEMPO_REQUIRES(mu);
-  };
-
-  Shard& shard_for(std::size_t hash) {
-    return *shards_[hash % shards_.size()];
-  }
+  void insert_lru_locked(const std::shared_ptr<Entry>& e, const SpecKey& key)
+      TEMPO_REQUIRES(mu_);
 
   const std::size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  // The RCU-style hot-spec slot: written rarely (epoch boundaries),
-  // read on every lookup before any lock.
-  std::atomic<std::shared_ptr<const HotSlot>> hot_{nullptr};
-  std::atomic<std::int64_t> hot_hits_{0};
-  // Monotonic count of slot reads, driving the periodic LRU refresh
-  // (kept separate from hot_hits_ so stats stay exact).
-  std::atomic<std::int64_t> hot_ticks_{0};
+  mutable std::mutex mu_;
+  std::condition_variable ready_cv_;
+  std::unordered_map<SpecKey, std::shared_ptr<Entry>, SpecKeyHash> map_
+      TEMPO_GUARDED_BY(mu_);
+  std::list<SpecKey> lru_ TEMPO_GUARDED_BY(mu_);  // front = most recently
+                                                  // used; ready only
+  SpecCacheStats stats_ TEMPO_GUARDED_BY(mu_);
 
   // Folds spec_cache.* into the global metrics registry at snapshot
-  // time.  Last member: it reads the shards, so it unregisters first.
+  // time.  Last member: it reads the table, so it unregisters first.
   common::MetricsRegistry::SourceHandle metrics_source_;
 };
 

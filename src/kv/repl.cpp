@@ -139,7 +139,7 @@ Result<ShipBatch> decode_ship_words(std::span<const std::uint32_t> words) {
 
 // ---------------------------------------------------------------- sink
 
-KvReplicaSink::KvReplicaSink(std::uint32_t shards) : cache_(32, 4) {
+KvReplicaSink::KvReplicaSink(std::uint32_t shards) : cache_(32) {
   if (shards == 0) shards = 1;
   stores_.reserve(shards);
   apply_mu_.reserve(shards);

@@ -118,9 +118,9 @@ VerifyResult verify_plan(const Plan& plan);
 //   1  admit     — verify every plan once at spec build; a rejected
 //                  plan fails the build (negative-cached like any
 //                  other ineligible shape).  The default.
-//   2  paranoid  — additionally re-verify on every SpecCache publish
-//                  (ready-entry insert and hot-slot publication), so a
-//                  corrupted-in-flight plan cannot reach the hit path.
+//   2  paranoid  — additionally re-verify before every SpecCache
+//                  ready-entry insert, so a corrupted-in-flight plan
+//                  cannot reach the hit path.
 //
 // Debug builds (NDEBUG unset) clamp the effective mode to at least 1:
 // the admission pass is always on where assertions are.

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/endian.h"
+#include "common/metrics.h"
 #include "core/generic_client.h"
 #include "core/service.h"
 #include "core/spec_client.h"
@@ -15,6 +16,7 @@
 #include "core/tspec.h"
 #include "net/simnet.h"
 #include "net/udp.h"
+#include "pe/compile.h"
 #include "rpc/svc.h"
 
 namespace tempo::core {
@@ -172,6 +174,43 @@ TEST(SpecializedClientTest, FullySpecializedRoundTrip) {
   }
   EXPECT_EQ(service.stats().fast_path, 10);
   EXPECT_EQ(client.stats().generic_fallbacks, 0);
+}
+
+// A pinned interface running compiled stubs attributes its fast path to
+// the jit tier, as CachedSpecService does; none of it reads as plan.
+TEST(SpecializedServiceTest, JitInterfaceReportsJitTier) {
+  if (!pe::jit_supported_host() || !pe::jit_enabled_by_env()) {
+    GTEST_SKIP() << "JIT unavailable on this host or disabled";
+  }
+  const std::uint32_t n = 64;
+  SpecConfig cfg;
+  cfg.arg_counts = {n};
+  cfg.res_counts = {n};
+  auto iface =
+      SpecializedInterface::build(echo_array_proc(), kProg, kVers, cfg);
+  ASSERT_TRUE(iface.is_ok());
+  ASSERT_TRUE(iface->jit_active());
+
+  net::SimNetwork net;
+  auto* server_ep = net.create_endpoint();
+  auto* client_ep = net.create_endpoint();
+  rpc::SvcRegistry reg;
+  SpecializedService service(*iface, echo_handler());
+  service.install(reg);
+  rpc::attach_sim_server(server_ep, reg);
+
+  SpecializedClient client(*client_ep, server_ep->local_addr(), *iface);
+  std::vector<std::uint32_t> args(n, 7), results(n, 0);
+  constexpr std::int64_t kCalls = 5;
+  for (std::int64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(client.call(args, results).is_ok());
+  }
+  ASSERT_EQ(service.stats().fast_path, kCalls);
+
+  common::MetricsSnapshot snap = common::metrics().snapshot();
+  EXPECT_EQ(snap.counters["service.tier_jit"], kCalls);
+  EXPECT_EQ(snap.counters["service.jit_fast_path"], kCalls);
+  EXPECT_EQ(snap.counters["service.tier_plan"], 0);
 }
 
 // The guarded fallback: a server that replies with a *different* count

@@ -273,7 +273,7 @@ TEST(Reactor, EpollSetupFailureIsAnErrorNotADowngrade) {
 // ------------------------------------------- event runtime e2e (UDP) ---
 
 TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
-  core::SpecCache cache(32, /*shards=*/4);
+  core::SpecCache cache(32);
 
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
@@ -353,7 +353,7 @@ TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
 // periodic re-sweep tick — whatever its length, a missed wakeup shows
 // up as a tick steal.
 TEST(EventServerRuntime, StealingIsWakeupDrivenNotTickDriven) {
-  core::SpecCache cache(32, /*shards=*/4);
+  core::SpecCache cache(32);
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_array_proc(), kProg, kVers,
@@ -406,7 +406,7 @@ TEST(EventServerRuntime, StealingIsWakeupDrivenNotTickDriven) {
 // ------------------------------------------- event runtime e2e (TCP) ---
 
 TEST(EventServerRuntime, CachedServiceOverTcpStream) {
-  core::SpecCache cache(32, /*shards=*/4);
+  core::SpecCache cache(32);
 
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
@@ -770,7 +770,7 @@ TEST(EventServerRuntime, OversizedRecordDoesNotCorruptServer) {
 // reassembly buffer grows.  Concurrent UDP and TCP callers must keep
 // their p99 latency far below the trickle cadence.
 TEST(EventServerRuntime, SlowPeerDoesNotStallOtherClients) {
-  core::SpecCache cache(32, /*shards=*/4);
+  core::SpecCache cache(32);
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_array_proc(), kProg, kVers,
@@ -955,7 +955,7 @@ Bytes read_framed_reply(net::TcpConn& conn, int timeout_ms = 3000) {
 // The whole client mix of the single-loop e2e must still be served, and
 // the per-shard stats must aggregate into one coherent view.
 TEST(EventServerRuntime, MultiReactorServesUdpAndTcpAcrossShards) {
-  core::SpecCache cache(32, /*shards=*/4);
+  core::SpecCache cache(32);
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_array_proc(), kProg, kVers,

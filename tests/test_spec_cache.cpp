@@ -1,8 +1,9 @@
 // SpecCache tests: memoization under concurrency (one build per key),
 // bounded LRU eviction + rebuild, byte-identical cached plans, negative
-// caching, and the cache wired into the record-stream TcpServer via
-// CachedSpecService over real loopback TCP (the concurrent runtime's
-// UDP and TCP paths are covered in test_reactor.cpp).
+// caching, CachedSpecService's hot shape bypassing the cache, and the
+// cache wired into the record-stream TcpServer via CachedSpecService
+// over real loopback TCP (the concurrent runtime's UDP and TCP paths are
+// covered in test_reactor.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,52 +93,80 @@ TEST(SpecCache, DistinctKeysBuildSeparately) {
 
 // 8 threads hammer a small key set concurrently; the in-flight protocol
 // must make each distinct key build exactly once (miss count == distinct
-// keys) and hand every thread the same shared instance per key.
+// keys) and hand every thread the same shared instance per key.  Three
+// traffic patterns: rotations over 6 and 8 keys, and a skewed mix where
+// 7 of 8 lookups hit one dominant key while the rest churn 4 others.
 TEST(SpecCache, ConcurrentHammeringBuildsOncePerKey) {
   constexpr int kThreads = 8;
-  constexpr int kItersPerThread = 200;
-  const std::vector<std::uint32_t> sizes = {10, 20, 30, 40, 50, 60};
+  struct Pattern {
+    const char* name;
+    std::vector<std::uint32_t> sizes;
+    int iters_per_thread;
+    // Index into `sizes` of thread t's i-th lookup.
+    std::size_t (*pick)(int t, int i, std::size_t keys);
+  };
+  const auto rotate = [](int t, int i, std::size_t keys) {
+    return static_cast<std::size_t>(i + t) % keys;
+  };
+  const std::vector<Pattern> patterns = {
+      {"rotate-6", {10, 20, 30, 40, 50, 60}, 200, rotate},
+      {"rotate-8", {11, 22, 33, 44, 55, 66, 77, 88}, 200, rotate},
+      {"skewed-7-of-8",
+       {10, 30, 31, 32, 33},
+       400,
+       [](int t, int i, std::size_t /*keys*/) -> std::size_t {
+         return i % 8 != 0 ? 0 : 1 + static_cast<std::size_t>((i + t) % 4);
+       }},
+  };
 
-  SpecCache cache(64);
-  const auto proc = echo_array_proc();
+  for (const Pattern& pat : patterns) {
+    SCOPED_TRACE(pat.name);
+    SpecCache cache(64);
+    const auto proc = echo_array_proc();
+    const std::size_t keys = pat.sizes.size();
 
-  std::vector<std::vector<const SpecializedInterface*>> seen(
-      kThreads, std::vector<const SpecializedInterface*>(sizes.size(),
-                                                         nullptr));
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kItersPerThread; ++i) {
-        const std::size_t k = static_cast<std::size_t>((i + t) %
-                                                       sizes.size());
-        auto r = cache.get_or_build(proc, kProg, kVers, cfg_for(sizes[k]));
-        if (!r.is_ok()) {
-          ++failures;
-          continue;
+    std::vector<std::vector<const SpecializedInterface*>> seen(
+        kThreads, std::vector<const SpecializedInterface*>(keys, nullptr));
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < pat.iters_per_thread; ++i) {
+          const std::size_t k = pat.pick(t, i, keys);
+          auto r =
+              cache.get_or_build(proc, kProg, kVers, cfg_for(pat.sizes[k]));
+          if (!r.is_ok()) {
+            ++failures;
+            continue;
+          }
+          if (seen[t][k] == nullptr) {
+            seen[t][k] = r->get();
+          } else if (seen[t][k] != r->get()) {
+            ++failures;  // key rebuilt: memoization broken
+          }
         }
-        if (seen[t][k] == nullptr) {
-          seen[t][k] = r->get();
-        } else if (seen[t][k] != r->get()) {
-          ++failures;  // key rebuilt: memoization broken
-        }
+      });
+    }
+    for (auto& th : threads) th.join();
+
+    EXPECT_EQ(failures.load(), 0);
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.misses, static_cast<std::int64_t>(keys));
+    EXPECT_EQ(stats.hits,
+              static_cast<std::int64_t>(kThreads) * pat.iters_per_thread -
+                  static_cast<std::int64_t>(keys));
+    EXPECT_EQ(stats.evictions, 0);
+    // Every thread that looked a key up saw the same instance for it
+    // (under the skewed mix a thread churns only one of the 4 others).
+    for (std::size_t k = 0; k < keys; ++k) {
+      const SpecializedInterface* first = nullptr;
+      for (int t = 0; t < kThreads; ++t) {
+        if (seen[t][k] == nullptr) continue;
+        if (first == nullptr) first = seen[t][k];
+        EXPECT_EQ(seen[t][k], first);
       }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(stats.hits,
-            static_cast<std::int64_t>(kThreads) * kItersPerThread -
-                static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(stats.evictions, 0);
-  // Every thread saw the same instance for each key.
-  for (std::size_t k = 0; k < sizes.size(); ++k) {
-    for (int t = 1; t < kThreads; ++t) {
-      EXPECT_EQ(seen[t][k], seen[0][k]);
+      EXPECT_NE(first, nullptr);
     }
   }
 }
@@ -168,6 +197,18 @@ TEST(SpecCache, LruEvictionTriggersRebuild) {
   EXPECT_NE(a1->get(), a2->get());  // rebuilt, not resurrected
   EXPECT_EQ((*a1)->encode_call_plan().out_size,
             (*a2)->encode_call_plan().out_size);
+
+  // Flooding 40 distinct keys through 8 slots keeps the footprint at the
+  // capacity: every build past the cap evicts exactly one entry.
+  SpecCache flooded(8);
+  for (std::uint32_t n = 1; n <= 40; ++n) {
+    ASSERT_TRUE(flooded.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
+  }
+  EXPECT_LE(flooded.size(), flooded.capacity());
+  const auto flood = flooded.stats();
+  EXPECT_EQ(flood.misses, 40);
+  EXPECT_EQ(flood.evictions,
+            flood.misses - static_cast<std::int64_t>(flooded.size()));
 }
 
 // A cached interface must be indistinguishable from a freshly built one:
@@ -232,348 +273,93 @@ TEST(SpecCache, NegativeCachingDoesNotRebuildFailures) {
   EXPECT_EQ(stats.build_failures, 1);
 }
 
-// ---- sharding ------------------------------------------------------------
+// ---- the cache behind CachedSpecService --------------------------------
 
-TEST(SpecCacheSharding, CountersAggregateAcrossShards) {
-  SpecCache cache(64, /*shards=*/4);
-  EXPECT_EQ(cache.shard_count(), 4u);
-  const auto proc = echo_array_proc();
-
-  const std::vector<std::uint32_t> sizes = {10, 20, 30, 40, 50, 60, 70, 80};
-  for (auto n : sizes) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
-  }
-  for (auto n : sizes) {  // second pass: all hits
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
-  }
-
-  const auto total = cache.stats();
-  EXPECT_EQ(total.misses, static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(total.hits, static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(total.evictions, 0);
-  EXPECT_EQ(cache.size(), sizes.size());
-
-  // The aggregate is exactly the sum of the per-shard counters, and the
-  // keys landed somewhere (not all in shard 0).
-  SpecCacheStats summed;
-  std::size_t summed_size = 0;
-  for (std::size_t s = 0; s < cache.shard_count(); ++s) {
-    const auto ss = cache.shard_stats(s);
-    summed.hits += ss.hits;
-    summed.misses += ss.misses;
-    summed.evictions += ss.evictions;
-    summed.build_failures += ss.build_failures;
-    summed_size += cache.shard_size(s);
-  }
-  EXPECT_EQ(summed.hits, total.hits);
-  EXPECT_EQ(summed.misses, total.misses);
-  EXPECT_EQ(summed.evictions, total.evictions);
-  EXPECT_EQ(summed_size, cache.size());
+CachedSpecService::DynamicWordHandler echo_words() {
+  return [](std::span<const std::uint32_t> /*arg_counts*/,
+            std::span<const std::uint32_t> args,
+            std::span<std::uint32_t> results) {
+    std::copy(args.begin(), args.end(), results.begin());
+    return true;
+  };
 }
 
-TEST(SpecCacheSharding, EvictionsStayPerShardBounded) {
-  // 4 shards x 2 slots each; flooding with distinct keys must bound the
-  // total footprint at the overall capacity.
-  SpecCache cache(8, /*shards=*/4);
-  const auto proc = echo_array_proc();
-  for (std::uint32_t n = 1; n <= 40; ++n) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
+// Serves one echo call in process through the registry's zero-copy
+// dispatch (the entry the runtimes use; no network): `client` encodes
+// the call and decodes the reply with its residual plans.
+bool serve_echo(rpc::SvcRegistry& reg, const SpecializedInterface& client,
+                std::uint32_t xid) {
+  const std::uint32_t n = client.config().arg_counts.at(0);
+  std::vector<std::uint32_t> args(n), results(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) args[i] = xid * 1000 + i;
+  Bytes request(client.encode_call_plan().out_size);
+  if (client.exec_encode_call(args, xid,
+                              MutableByteSpan(request.data(),
+                                              request.size())) !=
+      pe::ExecStatus::kOk) {
+    return false;
   }
-  EXPECT_LE(cache.size(), 8u);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 40);
-  EXPECT_EQ(stats.evictions,
-            40 - static_cast<std::int64_t>(cache.size()));
+  Bytes reply(rpc::reply_capacity(request.size()));
+  const std::size_t len =
+      reg.handle_request(ByteSpan(request.data(), request.size()),
+                         MutableByteSpan(reply.data(), reply.size()));
+  return len > 0 &&
+         client.exec_decode_reply(ByteSpan(reply.data(), len), xid,
+                                  results) == pe::ExecStatus::kOk &&
+         results == args;
 }
 
-TEST(SpecCacheSharding, ShardCountClampedToCapacity) {
-  SpecCache cache(2, /*shards=*/8);
-  EXPECT_EQ(cache.shard_count(), 2u);  // every shard keeps >= 1 slot
-}
+// The service's hot handle is the resolved specialization: once the
+// generic path has learned a shape, its calls run the residual plans
+// without touching the cache at all.
+TEST(CachedSpecService, FastPathMakesNoCacheLookup) {
+  SpecCache cache(16);
+  rpc::SvcRegistry reg;
+  CachedSpecService service(cache, echo_array_proc(), kProg, kVers,
+                            echo_words());
+  service.install(reg);
+  auto client =
+      SpecializedInterface::build(echo_array_proc(), kProg, kVers,
+                                  cfg_for(30));
+  ASSERT_TRUE(client.is_ok());
 
-// The one-build-per-key contract must survive sharding: 8 threads
-// hammer keys that scatter across 4 shards; each key still builds
-// exactly once and every thread sees the same shared instance.
-TEST(SpecCacheSharding, OneBuildPerKeyUnder8ThreadContention) {
-  constexpr int kThreads = 8;
-  constexpr int kItersPerThread = 200;
-  const std::vector<std::uint32_t> sizes = {11, 22, 33, 44, 55, 66, 77, 88};
-
-  SpecCache cache(64, /*shards=*/4);
-  const auto proc = echo_array_proc();
-
-  std::vector<std::vector<const SpecializedInterface*>> seen(
-      kThreads,
-      std::vector<const SpecializedInterface*>(sizes.size(), nullptr));
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kItersPerThread; ++i) {
-        const std::size_t k =
-            static_cast<std::size_t>((i + t) % sizes.size());
-        auto r = cache.get_or_build(proc, kProg, kVers, cfg_for(sizes[k]));
-        if (!r.is_ok()) {
-          ++failures;
-          continue;
-        }
-        if (seen[t][k] == nullptr) {
-          seen[t][k] = r->get();
-        } else if (seen[t][k] != r->get()) {
-          ++failures;  // key rebuilt: memoization broken
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(stats.hits,
-            static_cast<std::int64_t>(kThreads) * kItersPerThread -
-                static_cast<std::int64_t>(sizes.size()));
-  EXPECT_EQ(stats.evictions, 0);
-  for (std::size_t k = 0; k < sizes.size(); ++k) {
-    for (int t = 1; t < kThreads; ++t) {
-      EXPECT_EQ(seen[t][k], seen[0][k]);
-    }
-  }
-}
-
-// ---- the RCU-style hot-spec slot ------------------------------------------
-
-// After kHotPublishEpoch locked hits on one key, the cache publishes it
-// through the atomic hot slot: later lookups of that key are served
-// lock-free (counted in hot_hits) and still return the same instance.
-TEST(SpecCacheHotSlot, PublishesAfterEpochAndServesLockFree) {
-  SpecCache cache(32, /*shards=*/4);
-  const auto proc = echo_array_proc();
-
-  auto first = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-  ASSERT_TRUE(first.is_ok());
-  const auto* instance = first->get();
-
-  // Epoch-1 locked hits leave the slot unpublished...
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch - 1; ++i) {
-    auto r = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-    ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r->get(), instance);
-  }
-  EXPECT_EQ(cache.stats().hot_hits, 0);
-
-  // ...the epoch-boundary hit publishes...
-  ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-
-  // ...and every later hit of this key is lock-free.
-  constexpr int kHotRounds = 10;
-  for (int i = 0; i < kHotRounds; ++i) {
-    auto r = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-    ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(r->get(), instance);  // same shared instance, slot or shard
+  constexpr int kCalls = 20;
+  for (int i = 1; i <= kCalls; ++i) {
+    ASSERT_TRUE(serve_echo(reg, *client, static_cast<std::uint32_t>(i)));
   }
   const auto stats = cache.stats();
-  EXPECT_EQ(stats.hot_hits, kHotRounds);
-  EXPECT_EQ(stats.misses, 1);
-  // hits includes the hot-slot hits.
-  EXPECT_EQ(stats.hits, SpecCache::kHotPublishEpoch + kHotRounds);
-
-  // A different key never matches the slot: correct instance, no
-  // hot-hit accounting drift.
-  auto other = cache.get_or_build(proc, kProg, kVers, cfg_for(20));
-  ASSERT_TRUE(other.is_ok());
-  EXPECT_NE(other->get(), instance);
-  EXPECT_EQ(cache.stats().hot_hits, kHotRounds);
+  EXPECT_EQ(stats.misses, 1);  // the first call learned the shape
+  EXPECT_EQ(stats.hits, 0);    // no call re-resolved it
+  EXPECT_EQ(service.stats().generic_path.load(), 1);
+  EXPECT_EQ(service.stats().fast_path.load(), kCalls - 1);
 }
 
-// The slot holds a SpecHandle, so the published interface survives LRU
-// eviction exactly like a caller-held handle: the hot key keeps being
-// served (without a rebuild) even after distinct-key flooding pushed it
-// out of every shard.
-TEST(SpecCacheHotSlot, HotKeySurvivesEvictionWithoutRebuild) {
-  SpecCache cache(4, /*shards=*/1);
+// Evicting the hot shape from the cache costs its server nothing: the
+// service's handle keeps the interface alive and its calls keep running
+// the residual plans, with no rebuild.
+TEST(CachedSpecService, HotShapeOutlivesEvictionWithoutRebuild) {
+  SpecCache cache(2);
   const auto proc = echo_array_proc();
+  rpc::SvcRegistry reg;
+  CachedSpecService service(cache, proc, kProg, kVers, echo_words());
+  service.install(reg);
+  auto client = SpecializedInterface::build(proc, kProg, kVers, cfg_for(10));
+  ASSERT_TRUE(client.is_ok());
 
-  auto hot = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-  ASSERT_TRUE(hot.is_ok());
-  const auto* instance = hot->get();
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  }
-
-  // Flood with 8 distinct keys: capacity 4, so key 10 is long evicted.
-  for (std::uint32_t n = 100; n < 108; ++n) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
-  }
-  EXPECT_LE(cache.size(), 4u);
-  const auto before = cache.stats();
-
-  auto again = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-  ASSERT_TRUE(again.is_ok());
-  EXPECT_EQ(again->get(), instance);  // not rebuilt, not resurrected
-  const auto after = cache.stats();
-  EXPECT_EQ(after.misses, before.misses);  // no pipeline run
-  EXPECT_EQ(after.hot_hits, before.hot_hits + 1);
-}
-
-// Every kHotRefreshPeriod-th slot read takes the locked path to
-// re-touch the hot key's LRU entry: the hottest key must not decay
-// into the shard's eviction victim just because its hits bypass the
-// shard, and after a slot displacement it must still be served from
-// the shard without a rebuild.
-TEST(SpecCacheHotSlot, RefreshKeepsHotKeyWarmInShardLru) {
-  SpecCache cache(4, /*shards=*/1);
-  const auto proc = echo_array_proc();
-
-  auto a = cache.get_or_build(proc, kProg, kVers, cfg_for(10));  // miss 1
-  ASSERT_TRUE(a.is_ok());
-  const auto* instance = a->get();
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  }
-  // Slot published; burn kHotRefreshPeriod - 1 hot reads...
-  for (std::int64_t i = 0; i < SpecCache::kHotRefreshPeriod - 1; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  }
-  // ...then fill the other three slots, leaving key 10 LRU-coldest.
+  ASSERT_TRUE(serve_echo(reg, *client, 1));  // learns shape 10: miss 1
+  // Three other keys through two slots push shape 10 out of the cache.
   for (std::uint32_t n : {20u, 30u, 40u}) {  // misses 2..4
     ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
   }
-  // The next slot read is the refresh tick: it re-touches key 10.
-  ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  // A fifth key now evicts the true LRU victim (20), NOT the hot key.
-  ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers,
-                                 cfg_for(50)).is_ok());  // miss 5
-  EXPECT_EQ(cache.stats().evictions, 1);
+  ASSERT_EQ(cache.stats().evictions, 2);
 
-  // Displace the slot (key 50 earns it), then fetch the old hot key:
-  // it must come from the SHARD — no rebuild — with the same instance.
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(50)).is_ok());
+  const std::int64_t fast_before = service.stats().fast_path.load();
+  for (std::uint32_t xid = 2; xid <= 11; ++xid) {
+    ASSERT_TRUE(serve_echo(reg, *client, xid));
   }
-  auto again = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-  ASSERT_TRUE(again.is_ok());
-  EXPECT_EQ(again->get(), instance);
-  EXPECT_EQ(cache.stats().misses, 5);  // no rebuild of the hot key
-}
-
-// A refresh tick that lands AFTER the hot key was evicted must
-// reinsert the published handle, not re-run the pipeline: the shard
-// miss path consults the slot the lookup fell through from.
-TEST(SpecCacheHotSlot, RefreshTickReinsertsEvictedHotKeyWithoutRebuild) {
-  SpecCache cache(4, /*shards=*/1);
-  const auto proc = echo_array_proc();
-
-  auto a = cache.get_or_build(proc, kProg, kVers, cfg_for(10));  // miss 1
-  ASSERT_TRUE(a.is_ok());
-  const auto* instance = a->get();
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  }
-  // Burn all pre-refresh slot reads while the key is still cached...
-  for (std::int64_t i = 0; i < SpecCache::kHotRefreshPeriod - 1; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  }
-  // ...then evict it: five fresh keys through a 4-slot shard push the
-  // untouched hot key out first.
-  for (std::uint32_t n : {20u, 30u, 40u, 50u, 60u}) {  // misses 2..6
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(n)).is_ok());
-  }
-  const auto before = cache.stats();
-  ASSERT_EQ(before.misses, 6);
-
-  // The refresh tick finds the shard entry gone and reinserts the
-  // published handle: a hit, not a rebuild.
-  auto again = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-  ASSERT_TRUE(again.is_ok());
-  EXPECT_EQ(again->get(), instance);
-  const auto after = cache.stats();
-  EXPECT_EQ(after.misses, 6);             // no pipeline run
-  EXPECT_EQ(after.hits, before.hits + 1);  // counted as a shard hit
-  EXPECT_EQ(cache.size(), 4u);             // reinserted under the cap
-}
-
-// When traffic shifts, the new hot key takes the slot over (its locked
-// hits accumulate while the old key's don't), and the displaced key is
-// still served correctly through its shard.
-TEST(SpecCacheHotSlot, WorkloadShiftHandsTheSlotOver) {
-  SpecCache cache(32, /*shards=*/4);
-  const auto proc = echo_array_proc();
-
-  ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(10)).is_ok());
-  }
-  const auto hot10 = cache.stats().hot_hits;
-
-  // Key 20 becomes the traffic: it accumulates locked hits (key 10
-  // holds the slot, so 20's lookups go through its shard) until it
-  // publishes itself at its own epoch boundary.
-  ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(20)).is_ok());
-  for (std::int64_t i = 0; i < SpecCache::kHotPublishEpoch; ++i) {
-    ASSERT_TRUE(cache.get_or_build(proc, kProg, kVers, cfg_for(20)).is_ok());
-  }
-  // Now 20 owns the slot...
-  const auto before = cache.stats();
-  auto r20 = cache.get_or_build(proc, kProg, kVers, cfg_for(20));
-  ASSERT_TRUE(r20.is_ok());
-  EXPECT_EQ(cache.stats().hot_hits, before.hot_hits + 1);
-  // ...and 10, displaced, is still served correctly from its shard.
-  auto r10 = cache.get_or_build(proc, kProg, kVers, cfg_for(10));
-  ASSERT_TRUE(r10.is_ok());
-  EXPECT_NE(r10->get(), r20->get());
-  EXPECT_EQ(cache.stats().hot_hits, before.hot_hits + 1);  // not via slot
-  EXPECT_GE(cache.stats().hot_hits, hot10);
-  EXPECT_EQ(cache.stats().misses, 2);
-}
-
-// 8 threads hammer a skewed workload (one dominant key + churn keys)
-// while the slot publishes and republishes underneath them: every
-// lookup must still return the one shared instance per key.  This is
-// the test the TSan CI job pins the publication protocol with.
-TEST(SpecCacheHotSlot, ConcurrentSkewedTrafficStaysConsistent) {
-  constexpr int kThreads = 8;
-  constexpr int kItersPerThread = 400;
-  SpecCache cache(64, /*shards=*/4);
-  const auto proc = echo_array_proc();
-
-  std::atomic<int> failures{0};
-  std::vector<const SpecializedInterface*> dominant(kThreads, nullptr);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kItersPerThread; ++i) {
-        // 7 of 8 lookups hit the dominant key; the rest churn.
-        const std::uint32_t n =
-            (i % 8 != 0) ? 10u : 30u + static_cast<std::uint32_t>((i + t) % 4);
-        auto r = cache.get_or_build(proc, kProg, kVers, cfg_for(n));
-        if (!r.is_ok()) {
-          ++failures;
-          continue;
-        }
-        if (n == 10) {
-          if (dominant[static_cast<std::size_t>(t)] == nullptr) {
-            dominant[static_cast<std::size_t>(t)] = r->get();
-          } else if (dominant[static_cast<std::size_t>(t)] != r->get()) {
-            ++failures;  // instance changed: memoization broken
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  for (int t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(dominant[static_cast<std::size_t>(t)], dominant[0]);
-  }
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 5);  // key 10 + churn keys 30..33
-  EXPECT_GT(stats.hot_hits, 0);
-  EXPECT_EQ(stats.hits,
-            static_cast<std::int64_t>(kThreads) * kItersPerThread - 5);
+  EXPECT_EQ(service.stats().fast_path.load() - fast_before, 10);
+  EXPECT_EQ(service.stats().generic_path.load(), 1);
+  EXPECT_EQ(cache.stats().misses, 4);  // shape 10 never rebuilt
 }
 
 // ---- the cache behind the record-stream server --------------------------
@@ -586,14 +372,7 @@ TEST(TcpServer, CachedServiceOverTcpStream) {
   const auto proc = echo_array_proc();
 
   rpc::SvcRegistry reg;
-  CachedSpecService service(
-      cache, proc, kProg, kVers,
-      [](std::span<const std::uint32_t> /*arg_counts*/,
-         std::span<const std::uint32_t> args,
-         std::span<std::uint32_t> results) {
-        std::copy(args.begin(), args.end(), results.begin());
-        return true;
-      });
+  CachedSpecService service(cache, proc, kProg, kVers, echo_words());
   service.install(reg);
 
   net::TcpListener listener(0);
