@@ -88,6 +88,15 @@ CachedSpecService::CachedSpecService(SpecCache& cache, idl::ProcDef proc,
       handler_(std::move(handler)),
       res_counts_for_(std::move(res_counts_for)),
       base_(std::move(base)) {
+  // Class plans apply when the arguments end in their one variable array
+  // and the results do too or hold none.
+  const auto count_free = [](const idl::Type& t) {
+    const auto c = pe::count_params(t);
+    return c.is_ok() && *c == 0;
+  };
+  class_key_ = pe::tail_array(*proc_.arg_type) != nullptr &&
+               (pe::tail_array(*proc_.res_type) != nullptr ||
+                count_free(*proc_.res_type));
   // Tier attribution: every request lands in exactly one of jit / plan
   // / generic, so the three tier counters partition service.requests —
   // the acceptance test asserts the sum.  fast_path counts plans AND
@@ -126,29 +135,86 @@ void CachedSpecService::set_hot(SpecHandle h) {
   hot_.store(std::move(h), std::memory_order_release);
 }
 
-namespace {
-enum class PathResult {
+enum class CachedSpecService::PathResult : std::uint8_t {
   kServed,        // request fully handled through the plans
   kGuardMiss,     // shape mismatch; stream cursor advanced, rewind needed
   kStreamOpaque,  // stream cannot inline; cursor untouched
   kHandlerFault,  // application handler failed: GARBAGE_ARGS
 };
-}  // namespace
 
-bool CachedSpecService::encode_results(const SpecializedInterface& iface,
-                                       std::span<const std::uint32_t> results,
-                                       xdr::XdrStream& out) {
+namespace {
+
+// Encodes `results` (of `res_counts` shape) through the interface's
+// plan when it covers that count and the stream can inline the reply,
+// generically otherwise.
+bool encode_results(const SpecializedInterface& iface,
+                    std::span<const std::uint32_t> res_counts,
+                    std::span<const std::uint32_t> results,
+                    xdr::XdrStream& out) {
   const pe::Plan& eplan = iface.encode_results_plan();
-  std::uint8_t* out_bytes = out.inline_bytes(eplan.out_size);
-  if (out_bytes != nullptr) {
-    return iface.exec_encode_results(
-               results, MutableByteSpan(out_bytes, eplan.out_size)) ==
-           ExecStatus::kOk;
+  const bool open = eplan.has_count();
+  if (!open || (res_counts.size() == 1 && res_counts[0] <= eplan.count_cap)) {
+    const std::uint32_t m = open ? res_counts[0] : 0;
+    const auto len = static_cast<std::size_t>(eplan.out_size_at(m));
+    if (std::uint8_t* out_bytes = out.inline_bytes(len)) {
+      return iface.exec_encode_results(
+                 results, MutableByteSpan(out_bytes, len), m) ==
+             ExecStatus::kOk;
+    }
   }
-  auto value = pe::unflatten_value(iface.res_type(),
-                                   iface.config().res_counts, results);
+  auto value = pe::unflatten_value(iface.res_type(), res_counts, results);
   if (!value.is_ok()) return false;
   return idl::encode_value(out, iface.res_type(), *value);
+}
+
+}  // namespace
+
+// One call through the hot specialization.  Stage marks are no-ops
+// unless the runtime sampled this request (one thread_local null
+// check), so the unsampled hot path pays nothing.
+CachedSpecService::PathResult CachedSpecService::serve_hot(
+    const SpecializedInterface& h, xdr::XdrStream& in, xdr::XdrStream& out) {
+  const pe::Plan& dplan = h.decode_args_plan();
+  // A class plan sees the rest of the payload, so its length guard is
+  // real; an exact plan claims exactly the length it expects.
+  const std::size_t inlen =
+      dplan.has_count() ? in.inline_remaining() : dplan.expected_in;
+  std::uint8_t* in_bytes = dplan.expected_in ? in.inline_bytes(inlen) : nullptr;
+  if (in_bytes == nullptr) return PathResult::kStreamOpaque;
+  const ByteSpan payload(in_bytes, inlen);
+  // The wire count sizes a class plan's slots; the decode rechecks it
+  // against the cap and the payload length.
+  const std::uint32_t n =
+      dplan.has_count() ? pe::peek_count(dplan, payload) : 0;
+  if (n > dplan.count_cap) return PathResult::kGuardMiss;
+  std::vector<std::uint32_t> args(static_cast<std::size_t>(h.arg_slots(n)));
+  if (h.exec_decode_args(payload, args) != ExecStatus::kOk) {
+    return PathResult::kGuardMiss;  // count/length guard rejected shape
+  }
+  common::trace_mark(common::TraceStage::kDecode);
+
+  const std::span<const std::uint32_t> arg_counts =
+      dplan.has_count()
+          ? std::span<const std::uint32_t>(&n, 1)
+          : std::span<const std::uint32_t>(h.config().arg_counts);
+  // An open result side takes its count from the arguments'.
+  const bool open_res = h.encode_results_plan().has_count();
+  std::span<const std::uint32_t> res_counts = h.config().res_counts;
+  std::vector<std::uint32_t> mapped;
+  if (open_res) {
+    if (res_counts_for_) mapped = res_counts_for_(arg_counts);
+    res_counts = res_counts_for_ ? mapped : arg_counts;
+    if (res_counts.size() != 1) return PathResult::kHandlerFault;
+  }
+  std::vector<std::uint32_t> results(
+      static_cast<std::size_t>(h.res_slots(open_res ? res_counts[0] : 0)));
+  if (!handler_(arg_counts, args, results)) return PathResult::kHandlerFault;
+  common::trace_mark(common::TraceStage::kExecute);
+  if (!encode_results(h, res_counts, results, out)) {
+    return PathResult::kHandlerFault;
+  }
+  common::trace_mark(common::TraceStage::kEncode);
+  return PathResult::kServed;
 }
 
 bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
@@ -159,38 +225,8 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   // keeps the interface alive even after the cache evicts its entry.
   const SpecHandle h = hot();
   if (h) {
-    // Stage marks are no-ops unless the runtime sampled this request
-    // (one thread_local null check), so the unsampled hot path pays
-    // nothing.
     common::trace_mark(common::TraceStage::kCacheLookup);
-    PathResult r = PathResult::kStreamOpaque;
-    const pe::Plan& dplan = h->decode_args_plan();
-    std::uint8_t* in_bytes =
-        dplan.expected_in ? in.inline_bytes(dplan.expected_in) : nullptr;
-    if (in_bytes != nullptr) {
-      std::vector<std::uint32_t> args(
-          static_cast<std::size_t>(h->arg_slots()));
-      if (h->exec_decode_args(ByteSpan(in_bytes, dplan.expected_in), args) ==
-          ExecStatus::kOk) {
-        common::trace_mark(common::TraceStage::kDecode);
-        std::vector<std::uint32_t> results(
-            static_cast<std::size_t>(h->res_slots()));
-        if (!handler_(h->config().arg_counts, args, results)) {
-          r = PathResult::kHandlerFault;
-        } else {
-          common::trace_mark(common::TraceStage::kExecute);
-          if (encode_results(*h, results, out)) {
-            common::trace_mark(common::TraceStage::kEncode);
-            r = PathResult::kServed;
-          } else {
-            r = PathResult::kHandlerFault;
-          }
-        }
-      } else {
-        r = PathResult::kGuardMiss;  // count/length guard rejected shape
-      }
-    }
-    switch (r) {
+    switch (serve_hot(*h, in, out)) {
       case PathResult::kServed:
         stats_.fast_path.fetch_add(1, std::memory_order_relaxed);
         common::trace_set_tier(h->jit_active() ? common::TraceTier::kJit
@@ -223,9 +259,13 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   }
   common::trace_mark(common::TraceStage::kDecode);
 
+  const std::vector<std::uint32_t> res_counts =
+      res_counts_for_ ? res_counts_for_(counts) : counts;
   SpecConfig cfg = base_;
-  cfg.arg_counts = counts;
-  cfg.res_counts = res_counts_for_ ? res_counts_for_(counts) : counts;
+  if (!class_key_) {  // a class key leaves both sides' counts open
+    cfg.arg_counts = counts;
+    cfg.res_counts = res_counts;
+  }
 
   auto iface = cache_.get_or_build(proc_, prog_, vers_, cfg);
   if (!iface.is_ok()) {
@@ -240,7 +280,7 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   // Flattening is decode-side work even though it runs after the cache
   // lookup; accumulate it into the decode stage.
   common::trace_mark(common::TraceStage::kDecode);
-  auto res_slots = pe::type_slots(*proc_.res_type, cfg.res_counts);
+  auto res_slots = pe::type_slots(*proc_.res_type, res_counts);
   if (!res_slots.is_ok() || *res_slots < 0) return false;
   std::vector<std::uint32_t> results(static_cast<std::size_t>(*res_slots));
   if (!handler_(counts, args, results)) return false;
@@ -248,11 +288,11 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
 
   if (iface.is_ok()) {
     set_hot(*iface);
-    const bool ok = encode_results(**iface, results, out);
+    const bool ok = encode_results(**iface, res_counts, results, out);
     common::trace_mark(common::TraceStage::kEncode);
     return ok;
   }
-  auto rvalue = pe::unflatten_value(*proc_.res_type, cfg.res_counts, results);
+  auto rvalue = pe::unflatten_value(*proc_.res_type, res_counts, results);
   if (!rvalue.is_ok()) return false;
   const bool ok = idl::encode_value(out, *proc_.res_type, *rvalue);
   common::trace_mark(common::TraceStage::kEncode);

@@ -2,11 +2,12 @@
 // arguments and encodes results through residual plans, with the generic
 // type-interpreter path as the guarded fallback.
 //
-// The plan fast path engages when the transport exposes its buffer
-// (XDR_INLINE succeeds — true for the UDP XdrMem path, not for TCP
-// record streams) and the request length matches the specialization;
-// otherwise the request is served by the generic path.  Either way the
-// application logic sees flattened words.
+// The plan fast path engages when the request stream exposes its buffer
+// (XDR_INLINE succeeds — true for the XdrMem the runtime dispatches
+// every UDP datagram and every reassembled TCP record through, not for
+// the paper-faithful xdrrec record stream) and the request matches the
+// specialization; otherwise the request is served by the generic path.
+// Either way the application logic sees flattened words.
 #pragma once
 
 #include <atomic>
@@ -59,13 +60,21 @@ class SpecializedService {
 // Dynamic sibling of SpecializedService for servers whose clients send
 // *varying* array shapes.  Instead of one pinned specialization it
 // learns each request's shape and resolves its residual plans through a
-// SpecCache:
+// SpecCache.
+//
+// The constructor decides from the procedure's types whether class
+// plans apply: each side's one variable array ends its message
+// (pe::tail_array), or the side has none, and the arguments have one.
+// Then a single cache key with no counts serves every length up to the
+// cap, and the handler sees the wire count.  Otherwise every distinct
+// shape has its own key with its pinned counts.
 //
 //  * fast path — the most recently learned specialization for this proc
 //    (`hot_`) is tried first; its decode plan's guards (count words,
-//    lengths) verify the request actually has that shape.  The cache is
-//    not consulted.  ExecStatus::kFallback rewinds the stream and drops
-//    to the generic path (guarded specialization, paper §6.2).
+//    lengths) verify the request actually has that shape, or for a
+//    class plan that the count fits the cap and the payload.  The cache
+//    is not consulted.  ExecStatus::kFallback rewinds the stream and
+//    drops to the generic path (guarded specialization, paper §6.2).
 //  * generic path — the layered interpreter decodes the value, the
 //    actual counts are collected, and the matching specialization is
 //    fetched (or built once) from the cache so the *reply* is still
@@ -107,10 +116,11 @@ class CachedSpecService {
   const Stats& stats() const { return stats_; }
 
  private:
+  enum class PathResult : std::uint8_t;
+
   bool handle(xdr::XdrStream& in, xdr::XdrStream& out);
-  bool encode_results(const SpecializedInterface& iface,
-                      std::span<const std::uint32_t> results,
-                      xdr::XdrStream& out);
+  PathResult serve_hot(const SpecializedInterface& h, xdr::XdrStream& in,
+                       xdr::XdrStream& out);
   SpecHandle hot() const;
   void set_hot(SpecHandle h);
 
@@ -120,6 +130,7 @@ class CachedSpecService {
   DynamicWordHandler handler_;
   CountMapper res_counts_for_;
   SpecConfig base_;  // unroll_factor / buffer_bytes template for cache keys
+  bool class_key_ = false;  // one count-free key serves every length
   Stats stats_;
   // The only hot-shape slot: the fast path runs it, the generic path
   // replaces it.

@@ -1,15 +1,20 @@
 // SpecCache — process-wide memo table for SpecializedInterface.
 //
 // Building a specialization runs the whole Tempo pipeline (IR corpus,
-// binding-time analysis, partial evaluation of four entry points); at
-// tens of microseconds per build it must be amortized when a server
-// handles many interfaces and many distinct array shapes.  The cache
-// keys on everything the residual plans depend on:
+// partial evaluation of four entry points, verification, native
+// compilation); an exact build takes 0.7-1 ms at 100 array elements
+// and 10-15 ms at 2000, a class build about 0.3 ms (gcc 12 Release,
+// 4-vCPU x86-64 VM), so it must be amortized when a server handles many interfaces and many
+// distinct array shapes.  The cache keys on everything the residual
+// plans depend on:
 //
 //   (prog, vers, proc, arg_counts, res_counts, unroll_factor,
 //    buffer_bytes)
 //
-// and returns shared, immutable SpecializedInterface instances.
+// and returns shared, immutable SpecializedInterface instances.  A class
+// interface (counts left empty, see stubspec.h) has one key for every
+// array length, so a server whose procedures end in their one variable
+// array builds once per procedure, not once per length.
 //
 // Concurrency contract: get_or_build() is safe from any number of
 // threads and builds each key AT MOST ONCE — the first thread to miss

@@ -1,5 +1,7 @@
 #include "core/stubspec.h"
 
+#include <algorithm>
+
 #include "pe/verify.h"
 
 namespace tempo::core {
@@ -15,6 +17,80 @@ std::map<std::string, std::int64_t> count_bindings(
   return out;
 }
 
+// One side of the interface: its type, pinned counts, and whether the
+// counts are left open.
+struct Side {
+  const idl::Type& type;
+  const std::vector<std::uint32_t>& counts;
+  const char* prefix;  // count parameter names in the corpus
+  const char* what;
+  bool open = false;
+};
+
+// Checks a side's counts against the corpus; an open side must have a
+// tail array for its class plans.
+Status check_side(Side& side, std::uint32_t needed) {
+  side.open = side.counts.empty() && needed == 1;
+  if (side.open) {
+    if (pe::tail_array(side.type) == nullptr) {
+      return invalid_argument(std::string("no class plan for the ") +
+                              side.what +
+                              ": its variable array does not end the "
+                              "message");
+    }
+    return Status::ok();
+  }
+  if (needed != side.counts.size()) {
+    return invalid_argument("interface needs " + std::to_string(needed) +
+                            " pinned " + side.what + " counts, got " +
+                            std::to_string(side.counts.size()));
+  }
+  return Status::ok();
+}
+
+// Slot count of a side at count 0 (or its pinned size) and per element.
+Status side_slots(const Side& side, std::int64_t* base, std::int64_t* slope) {
+  if (!side.open) {
+    TEMPO_ASSIGN_OR_RETURN(n, pe::type_slots(side.type, side.counts));
+    *base = n;
+    *slope = 0;
+    return Status::ok();
+  }
+  const std::uint32_t zero = 0, one = 1;
+  TEMPO_ASSIGN_OR_RETURN(at0, pe::type_slots(side.type, {&zero, 1}));
+  TEMPO_ASSIGN_OR_RETURN(at1, pe::type_slots(side.type, {&one, 1}));
+  *base = at0;
+  *slope = at1 - at0;
+  return Status::ok();
+}
+
+// One entry point: exact at a pinned side's counts, or on an open side
+// the class plan generalized from two samples at unroll_factor 1.
+Result<pe::Plan> specialize_entry(const pe::InterfaceCorpus& corpus,
+                                  const std::string& entry, pe::SpecInput in,
+                                  const Side& side) {
+  if (!side.open) {
+    in.static_scalars = count_bindings(side.prefix, side.counts);
+    return pe::specialize(corpus.program, entry, in);
+  }
+  in.options.unroll_factor = 1;
+  in.static_scalars = count_bindings(side.prefix, {pe::kClassSampleLo});
+  TEMPO_ASSIGN_OR_RETURN(lo, pe::specialize(corpus.program, entry, in));
+  in.static_scalars = count_bindings(side.prefix, {pe::kClassSampleHi});
+  TEMPO_ASSIGN_OR_RETURN(hi, pe::specialize(corpus.program, entry, in));
+  return pe::generalize_count(lo, hi);
+}
+
+// An open side's cap: the IDL bound, or the largest count whose message
+// still fits the encode buffer when that is smaller.
+std::uint32_t class_cap(const idl::Type& type, const pe::Plan& encode,
+                        std::uint32_t buffer_bytes) {
+  const std::uint32_t bound = pe::tail_array(type)->bound;
+  if (encode.out_size > buffer_bytes) return 0;
+  return std::min<std::uint32_t>(
+      bound, (buffer_bytes - encode.out_size) / encode.out_slope);
+}
+
 }  // namespace
 
 Result<SpecializedInterface> SpecializedInterface::build(
@@ -25,78 +101,63 @@ Result<SpecializedInterface> SpecializedInterface::build(
 
   TEMPO_ASSIGN_OR_RETURN(corpus,
                          pe::build_interface_corpus(proc, prog, vers));
-  if (corpus.arg_counts != config.arg_counts.size()) {
-    return Status(invalid_argument(
-        "interface needs " + std::to_string(corpus.arg_counts) +
-        " pinned argument counts, got " +
-        std::to_string(config.arg_counts.size())));
-  }
-  if (corpus.res_counts != config.res_counts.size()) {
-    return Status(invalid_argument(
-        "interface needs " + std::to_string(corpus.res_counts) +
-        " pinned result counts, got " +
-        std::to_string(config.res_counts.size())));
-  }
+  Side args{*proc.arg_type, config.arg_counts, "cnt", "argument"};
+  Side res{*proc.res_type, config.res_counts, "rcnt", "result"};
+  TEMPO_RETURN_IF_ERROR(check_side(args, corpus.arg_counts));
+  TEMPO_RETURN_IF_ERROR(check_side(res, corpus.res_counts));
+  TEMPO_RETURN_IF_ERROR(side_slots(args, &out.arg_slots_, &out.arg_slope_));
+  TEMPO_RETURN_IF_ERROR(side_slots(res, &out.res_slots_, &out.res_slope_));
 
-  TEMPO_ASSIGN_OR_RETURN(
-      arg_slots, pe::type_slots(*proc.arg_type, config.arg_counts));
-  TEMPO_ASSIGN_OR_RETURN(
-      res_slots, pe::type_slots(*proc.res_type, config.res_counts));
-  out.arg_slots_ = arg_slots;
-  out.res_slots_ = res_slots;
-
-  const auto arg_binds = count_bindings("cnt", config.arg_counts);
-  const auto res_binds = count_bindings("rcnt", config.res_counts);
-
+  pe::SpecInput base;
+  base.options.unroll_factor = config.unroll_factor;
   // Client encode: x_op=ENCODE, full buffer capacity, xid dynamic.
   {
-    pe::SpecInput in;
-    in.static_scalars = arg_binds;
+    pe::SpecInput in = base;
     in.ref_params = {{"argsp", 0}};
     in.dynamic_scalars = {pe::kXidVar};
     in.xdrs = {/*x_op=*/0, /*x_handy=*/config.buffer_bytes, 0};
-    in.options.unroll_factor = config.unroll_factor;
     TEMPO_ASSIGN_OR_RETURN(
-        plan, pe::specialize(corpus.program, corpus.encode_call, in));
+        plan, specialize_entry(corpus, corpus.encode_call, in, args));
     out.encode_call_ = std::move(plan);
   }
   // Client reply decode: x_op=DECODE, handy armed by the inlen guard.
   {
-    pe::SpecInput in;
-    in.static_scalars = res_binds;
+    pe::SpecInput in = base;
     in.ref_params = {{"resp", 0}};
     in.dynamic_scalars = {pe::kXidVar, pe::kInlenVar};
     in.xdrs = {/*x_op=*/1, /*x_handy=*/0, 0};
-    in.options.unroll_factor = config.unroll_factor;
     TEMPO_ASSIGN_OR_RETURN(
-        plan, pe::specialize(corpus.program, corpus.decode_reply, in));
+        plan, specialize_entry(corpus, corpus.decode_reply, in, res));
     out.decode_reply_ = std::move(plan);
   }
   // Server args decode.
   {
-    pe::SpecInput in;
-    in.static_scalars = arg_binds;
+    pe::SpecInput in = base;
     in.ref_params = {{"argsp", 0}};
     in.dynamic_scalars = {pe::kInlenVar};
     in.xdrs = {/*x_op=*/1, /*x_handy=*/0, 0};
-    in.options.unroll_factor = config.unroll_factor;
     TEMPO_ASSIGN_OR_RETURN(
-        plan, pe::specialize(corpus.program, corpus.decode_args, in));
+        plan, specialize_entry(corpus, corpus.decode_args, in, args));
     out.decode_args_ = std::move(plan);
   }
   // Server results encode.
   {
-    pe::SpecInput in;
-    in.static_scalars = res_binds;
+    pe::SpecInput in = base;
     in.ref_params = {{"resp", 0}};
     in.dynamic_scalars = {};
     in.xdrs = {/*x_op=*/0, /*x_handy=*/config.buffer_bytes, 0};
-    in.options.unroll_factor = config.unroll_factor;
     TEMPO_ASSIGN_OR_RETURN(
-        plan, pe::specialize(corpus.program, corpus.encode_results, in));
+        plan, specialize_entry(corpus, corpus.encode_results, in, res));
     out.encode_results_ = std::move(plan);
   }
-
+  if (args.open) {
+    out.encode_call_.count_cap = out.decode_args_.count_cap =
+        class_cap(args.type, out.encode_call_, config.buffer_bytes);
+  }
+  if (res.open) {
+    out.encode_results_.count_cap = out.decode_reply_.count_cap =
+        class_cap(res.type, out.encode_results_, config.buffer_bytes);
+  }
   // Admission pass (TEMPO_PLAN_VERIFY, always-on in debug): every plan
   // is statically verified against its declared contract before it — or
   // a stub compiled from it — can ever run.  A rejection fails the
@@ -126,9 +187,11 @@ Result<SpecializedInterface> SpecializedInterface::build(
 
 pe::ExecStatus SpecializedInterface::exec_encode_call(
     std::span<const std::uint32_t> words, std::uint32_t xid,
-    MutableByteSpan out) const {
-  if (encode_call_jit_) return encode_call_jit_->run_encode(words, xid, out);
-  return pe::run_plan_encode(encode_call_, words, xid, out, nullptr);
+    MutableByteSpan out, std::uint32_t count) const {
+  if (encode_call_jit_) {
+    return encode_call_jit_->run_encode(words, xid, out, count);
+  }
+  return pe::run_plan_encode(encode_call_, words, xid, out, nullptr, count);
 }
 
 pe::ExecStatus SpecializedInterface::exec_decode_reply(
@@ -146,11 +209,13 @@ pe::ExecStatus SpecializedInterface::exec_decode_args(
 }
 
 pe::ExecStatus SpecializedInterface::exec_encode_results(
-    std::span<const std::uint32_t> words, MutableByteSpan out) const {
+    std::span<const std::uint32_t> words, MutableByteSpan out,
+    std::uint32_t count) const {
   if (encode_results_jit_) {
-    return encode_results_jit_->run_encode(words, /*xid=*/0, out);
+    return encode_results_jit_->run_encode(words, /*xid=*/0, out, count);
   }
-  return pe::run_plan_encode(encode_results_, words, /*xid=*/0, out, nullptr);
+  return pe::run_plan_encode(encode_results_, words, /*xid=*/0, out, nullptr,
+                             count);
 }
 
 int SpecializedInterface::jit_stub_count() const {

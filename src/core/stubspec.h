@@ -2,15 +2,21 @@
 // "rpcgen, then Tempo" in one object.
 //
 // Construction runs the whole toolchain for one (program, version,
-// procedure) and one set of pinned array counts:
+// procedure):
 //   1. build the generic micro-layer stubs in IR (pe/corpus),
 //   2. partially evaluate all four entry points under the static inputs
 //      (pe/specializer) into residual plans,
 //   3. keep the generic IR around for the annotated view and as the
 //      reference/fallback semantics.
 //
-// One instance corresponds to one row of the paper's Table 3: a
-// specialized client for one array size.
+// Each side (arguments: encode_call + decode_args; results:
+// decode_reply + encode_results) is either pinned or open.  A pinned
+// side has its array counts fixed in SpecConfig and gets exact plans:
+// one such interface is one row of the paper's Table 3, a specialized
+// client for one array size.  An open side — counts left empty on a
+// type whose one variable array ends the message (pe::tail_array) —
+// gets class plans that serve every count up to a cap derived from the
+// types, the count being a run-time input of the exec_* calls.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +36,9 @@
 namespace tempo::core {
 
 struct SpecConfig {
-  std::vector<std::uint32_t> arg_counts;  // pinned var-array counts, preorder
+  // Pinned var-array counts, preorder.  Empty on a side that has one
+  // variable array leaves that side open (class plans).
+  std::vector<std::uint32_t> arg_counts;
   std::vector<std::uint32_t> res_counts;
   std::uint32_t unroll_factor = 0;        // 0 = full unroll (paper default)
   std::uint32_t buffer_bytes = 65000;     // encode capacity (static input)
@@ -75,14 +83,18 @@ class SpecializedInterface {
   // Tier-aware execution: the compiled stub when present, the plan
   // executor otherwise.  Byte- and status-identical either way (the
   // differential suite enforces this), so callers never branch on tier.
+  // `count` is an open side's element count (0 on a pinned side); the
+  // decode side reads it from the wire (pe::peek_count sizes `words`).
   pe::ExecStatus exec_encode_call(std::span<const std::uint32_t> words,
-                                  std::uint32_t xid, MutableByteSpan out) const;
+                                  std::uint32_t xid, MutableByteSpan out,
+                                  std::uint32_t count = 0) const;
   pe::ExecStatus exec_decode_reply(ByteSpan in, std::uint32_t xid,
                                    std::span<std::uint32_t> words) const;
   pe::ExecStatus exec_decode_args(ByteSpan in,
                                   std::span<std::uint32_t> words) const;
   pe::ExecStatus exec_encode_results(std::span<const std::uint32_t> words,
-                                     MutableByteSpan out) const;
+                                     MutableByteSpan out,
+                                     std::uint32_t count = 0) const;
 
   // Number of entry points running on the compiled tier (0..4).
   int jit_stub_count() const;
@@ -93,8 +105,14 @@ class SpecializedInterface {
   const idl::Type& arg_type() const { return *corpus_.arg_type; }
   const idl::Type& res_type() const { return *corpus_.res_type; }
 
-  std::int64_t arg_slots() const { return arg_slots_; }
-  std::int64_t res_slots() const { return res_slots_; }
+  // Word slots of one side's value: the pinned size, or on an open
+  // side the size at `count` elements.
+  std::int64_t arg_slots(std::uint32_t count = 0) const {
+    return arg_slots_ + arg_slope_ * count;
+  }
+  std::int64_t res_slots(std::uint32_t count = 0) const {
+    return res_slots_ + res_slope_ * count;
+  }
 
   // Tempo-style annotated listing of the generic encode path under this
   // interface's binding-time division (§6.1 visualization).
@@ -122,6 +140,7 @@ class SpecializedInterface {
   std::shared_ptr<const pe::CompiledPlan> encode_call_jit_, decode_reply_jit_,
       decode_args_jit_, encode_results_jit_;
   std::int64_t arg_slots_ = 0, res_slots_ = 0;
+  std::int64_t arg_slope_ = 0, res_slope_ = 0;  // per element, open sides
 };
 
 }  // namespace tempo::core

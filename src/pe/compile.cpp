@@ -12,14 +12,17 @@
 //
 // Calling conventions of the generated stubs (SysV / AAPCS64):
 //   encode: uint32_t fn(const uint32_t* words, uint32_t xid,
-//                       uint8_t* out, const uint8_t* tmpl)
+//                       uint8_t* out, const uint8_t* tmpl, uint32_t count)
 //   decode: uint32_t fn(const uint8_t* in, uint64_t inlen,
-//                       uint32_t xid, uint32_t* words)
-// The return value is the ExecStatus numeric code (0 ok, 1 fallback,
-// 2 retry-xid), which keeps the wrapper a single cast.
+//                       uint32_t xid, uint32_t* words, uint32_t count)
+// `count` is a class plan's element count, already checked by the
+// wrapper; stubs of exact plans never read it.  The return value is the
+// ExecStatus numeric code (0 ok, 1 fallback, 2 retry-xid), which keeps
+// the wrapper a single cast.
 
 #include "pe/compile.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -55,6 +58,7 @@ using K = FusedOp::K;
 
 bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
   prog->is_encode = plan.is_encode;
+  prog->has_count = plan.has_count();
   prog->out_size = plan.out_size;
   prog->expected_in = plan.expected_in;
   prog->words_needed = plan.words_needed;
@@ -74,14 +78,19 @@ bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
     if (why != nullptr) *why = verdict.to_string();
     return false;
   }
-  if (plan.out_size > kMaxDisp || plan.expected_in > kMaxDisp ||
-      plan.words_needed > kMaxDisp / 4) {
+  const std::uint32_t cap = plan.count_cap;
+  if (plan.out_size_at(cap) > kMaxDisp || plan.expected_in_at(cap) > kMaxDisp ||
+      plan.words_needed_at(cap) > kMaxDisp / 4) {
     return refuse("declared bounds exceed the jit displacement range");
   }
   std::vector<std::uint8_t> baked;
   if (plan.is_encode) {
-    prog->tmpl.assign(plan.out_size, 0);
-    baked.assign(plan.out_size, 0);
+    // A count loop's body is lowered at its iteration-0 offsets, which
+    // lie past the count-0 size.
+    const auto size = static_cast<std::size_t>(
+        plan.has_count() ? plan.out_size_at(1) : plan.out_size);
+    prog->tmpl.assign(size, 0);
+    baked.assign(size, 0);
   }
 
   auto push_or_merge = [&](FusedOp op) {
@@ -119,6 +128,9 @@ bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
     const auto off32 = static_cast<std::uint32_t>(off);
     switch (ins.op) {
       case POp::kPutConst: {
+        if (off + 4 > prog->tmpl.size()) {
+          return refuse("constant lies outside the template image");
+        }
         std::uint8_t be[4];
         store_be32(be, static_cast<std::uint32_t>(ins.imm));
         for (int i = 0; i < 4; ++i) {
@@ -185,7 +197,11 @@ bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
         prog->ops.push_back({K::kGuardBool, off32, 0, 0, 0});
         return true;
       case POp::kGuardLen:
-        prog->ops.push_back({K::kGuardLen, 0, 0, 0, ins.imm});
+        // A class plan's length guard restates the wrapper's precheck
+        // (in.size() == expected_in_at(count)), which has already run.
+        if (!plan.has_count()) {
+          prog->ops.push_back({K::kGuardLen, 0, 0, 0, ins.imm});
+        }
         return true;
       case POp::kLoop:
         // Unreachable: verify_plan rejected nested loops already.
@@ -207,6 +223,26 @@ bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
     const std::uint32_t body = ins.b;  // in-range: verify_plan checked
     const LoopStrides s = unpack_loop_strides(ins.imm);
     if (iters == 0 || body == 0) {  // executor skips the body entirely
+      i += 1 + body;
+      continue;
+    }
+    if (iters == kCountTrip) {
+      // Unrolled k-wide; k <= cap keeps every unrolled displacement
+      // inside the verified final-iteration range.
+      std::uint32_t k = std::max<std::uint32_t>(1, kJitCountLoopOps / body);
+      k = std::max<std::uint32_t>(1, std::min(k, cap));
+      if (cap > 0 &&
+          (std::uint64_t{cap - 1} * s.off_stride > kMaxDisp ||
+           std::uint64_t{cap - 1} * s.word_stride * 4 > kMaxDisp ||
+           std::uint64_t{k} * s.off_stride > kMaxDisp ||
+           std::uint64_t{k} * s.word_stride * 4 > kMaxDisp)) {
+        return refuse("loop displacement exceeds the jit range");
+      }
+      prog->ops.push_back({K::kLoopBegin, 0, kCountTrip, k, ins.imm});
+      for (std::uint32_t j = 0; j < body; ++j) {
+        if (!lower_one(plan.instrs[i + 1 + j], 0, 0)) return false;
+      }
+      prog->ops.push_back({K::kLoopEnd, 0, 0, 0, 0});
       i += 1 + body;
       continue;
     }
@@ -250,12 +286,14 @@ bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
 //   decode: r9 = in,    r10 = inlen, r11d = xid, r8 = words
 // A residual loop pushes rbx/r12/r13: rbx = down-counter, r12 = buffer
 // byte displacement, r13 = word-array byte displacement; memory
-// operands then take the form [base + r12/r13 + disp32].
+// operands then take the form [base + r12/r13 + disp32].  A class
+// plan's stub also pushes r14 and keeps the count argument there.
 
 namespace {
 
 constexpr int kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRsi = 6, kRdi = 7;
 constexpr int kR8 = 8, kR9 = 9, kR10 = 10, kR11 = 11, kR12 = 12, kR13 = 13;
+constexpr int kR14 = 14;
 
 // Copies at or above this size use rep movsb; below it, an unrolled
 // 8/4/2/1-byte mov sequence (no setup latency, no flag clobber).
@@ -390,6 +428,12 @@ class X86 {
     u8(0x31);
     modrm_reg(r, r);
   }
+  void sub_r32_imm32(int r, std::uint32_t v) {
+    rex(false, 0, -1, r);
+    u8(0x81);
+    modrm_reg(5, r);
+    u32(v);
+  }
   void dec32(int r) {
     rex(false, 0, -1, r);
     u8(0xFF);
@@ -437,6 +481,9 @@ class X86 {
   }
 };
 
+constexpr std::uint8_t kCcB = 2;   // jb (unsigned below)
+constexpr std::uint8_t kCcAe = 3;  // jae (unsigned above or equal)
+constexpr std::uint8_t kCcE = 4;   // je
 constexpr std::uint8_t kCcNe = 5;  // jne
 constexpr std::uint8_t kCcA = 7;   // ja (unsigned above)
 
@@ -477,6 +524,10 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
     a.push64(kR12);
     a.push64(kR13);
   }
+  if (p.has_count) {
+    a.push64(kR14);
+    a.mov_rr32(kR14, kR8);  // count, before r8 is reused
+  }
   // Move args out of the scratch/string registers (see register plan).
   if (p.is_encode) {
     a.mov_rr64(kR9, kRdi);   // words
@@ -505,62 +556,67 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
   const auto widx = [&]() { return in_loop ? kR13 : -1; };
   const auto d32 = [](std::uint32_t v) { return static_cast<std::int32_t>(v); };
 
-  for (const FusedOp& op : p.ops) {
+  // One fused op; `doff` / `dword` shift its buffer / word-array
+  // offsets (the unrolled copies of a count loop body).
+  auto emit_op = [&](const FusedOp& op, std::uint32_t doff,
+                     std::uint32_t dword) {
     switch (op.k) {
       case K::kCopyTmpl:
         // Template bytes live at the iteration-0 offset; only the
         // output cursor advances across iterations.
-        x86_copy(a, kR8, -1, op.off, kR11, bidx(), op.off, op.b);
+        x86_copy(a, kR8, -1, op.off, kR11, bidx(), op.off + doff, op.b);
         break;
       case K::kStoreWord:
-        a.load(32, kRax, {words, widx(), d32(op.a)});
+        a.load(32, kRax, {words, widx(), d32(op.a + dword)});
         a.bswap32(kRax);
-        a.store(32, {buf, bidx(), d32(op.off)}, kRax);
+        a.store(32, {buf, bidx(), d32(op.off + doff)}, kRax);
         break;
       case K::kStoreXid:
         a.mov_rr32(kRax, kR10);
         a.bswap32(kRax);
-        a.store(32, {buf, bidx(), d32(op.off)}, kRax);
+        a.store(32, {buf, bidx(), d32(op.off + doff)}, kRax);
         break;
       case K::kCopyArgBytes: {
-        x86_copy(a, words, widx(), op.a, buf, bidx(), op.off, op.b);
+        x86_copy(a, words, widx(), op.a + dword, buf, bidx(), op.off + doff,
+                 op.b);
         const auto padded = static_cast<std::uint32_t>(xdr_pad4(op.b));
         for (std::uint32_t i = op.b; i < padded; ++i) {
-          a.store8_imm({buf, bidx(), d32(op.off + i)}, 0);
+          a.store8_imm({buf, bidx(), d32(op.off + doff + i)}, 0);
         }
         break;
       }
       case K::kLoadWord:
-        a.load(32, kRax, {buf, bidx(), d32(op.off)});
+        a.load(32, kRax, {buf, bidx(), d32(op.off + doff)});
         a.bswap32(kRax);
-        a.store(32, {words, widx(), d32(op.a)}, kRax);
+        a.store(32, {words, widx(), d32(op.a + dword)}, kRax);
         break;
       case K::kSetWord:
-        a.store32_imm({words, widx(), d32(op.a)},
+        a.store32_imm({words, widx(), d32(op.a + dword)},
                       static_cast<std::uint32_t>(op.imm));
         break;
       case K::kCopyResBytes: {
-        x86_copy(a, buf, bidx(), op.off, words, widx(), op.a, op.b);
+        x86_copy(a, buf, bidx(), op.off + doff, words, widx(), op.a + dword,
+                 op.b);
         const auto padded = static_cast<std::uint32_t>(xdr_pad4(op.b));
         for (std::uint32_t i = op.b; i < padded; ++i) {
-          a.store8_imm({words, widx(), d32(op.a + i)}, 0);
+          a.store8_imm({words, widx(), d32(op.a + dword + i)}, 0);
         }
         break;
       }
       case K::kGuardEq:
-        a.load(32, kRax, {buf, bidx(), d32(op.off)});
+        a.load(32, kRax, {buf, bidx(), d32(op.off + doff)});
         a.bswap32(kRax);
         a.cmp_r32_imm32(kRax, static_cast<std::uint32_t>(op.imm));
         jcc_to(kCcNe, kFb);
         break;
       case K::kGuardXid:
-        a.load(32, kRax, {buf, bidx(), d32(op.off)});
+        a.load(32, kRax, {buf, bidx(), d32(op.off + doff)});
         a.bswap32(kRax);
         a.cmp_rr32(kRax, kR11);
         jcc_to(kCcNe, kRx);
         break;
       case K::kGuardBool:
-        a.load(32, kRax, {buf, bidx(), d32(op.off)});
+        a.load(32, kRax, {buf, bidx(), d32(op.off + doff)});
         a.bswap32(kRax);
         a.cmp_r32_imm32(kRax, 1);
         jcc_to(kCcA, kFb);
@@ -575,6 +631,60 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
         jcc_to(kCcNe, kFb);
         break;
       case K::kLoopBegin:
+      case K::kLoopEnd:
+        break;  // handled by the walk below
+    }
+  };
+
+  // Advances the displacement registers by `times` iterations.
+  auto step = [&](std::uint32_t times) {
+    a.add_r64_imm32(kR12, d32(loop_s.off_stride * times));
+    a.add_r64_imm32(kR13, d32(loop_s.word_stride * 4 * times));
+  };
+
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    const FusedOp& op = p.ops[i];
+    if (op.k == K::kLoopBegin && op.a == kCountTrip) {
+      // Count loop: ebx = count; k-wide trips, then a remainder loop;
+      // count 0 skips the body.
+      std::size_t end = i + 1;
+      while (p.ops[end].k != K::kLoopEnd) ++end;
+      const std::uint32_t k = op.b;
+      loop_s = unpack_loop_strides(op.imm);
+      in_loop = true;
+      a.mov_rr32(kRbx, kR14);
+      a.xor_self32(kR12);
+      a.xor_self32(kR13);
+      if (k > 1) {
+        a.cmp_r32_imm32(kRbx, k);
+        const std::size_t to_rem = a.jcc_fwd(kCcB);
+        const std::size_t top = a.pos();
+        for (std::uint32_t u = 0; u < k; ++u) {
+          for (std::size_t j = i + 1; j < end; ++j) {
+            emit_op(p.ops[j], loop_s.off_stride * u,
+                    loop_s.word_stride * 4 * u);
+          }
+        }
+        step(k);
+        a.sub_r32_imm32(kRbx, k);
+        a.cmp_r32_imm32(kRbx, k);
+        a.jcc_back(kCcAe, top);
+        a.patch(to_rem, a.pos());
+      }
+      a.cmp_r32_imm32(kRbx, 0);
+      const std::size_t to_done = a.jcc_fwd(kCcE);
+      const std::size_t top = a.pos();
+      for (std::size_t j = i + 1; j < end; ++j) emit_op(p.ops[j], 0, 0);
+      step(1);
+      a.dec32(kRbx);
+      a.jcc_back(kCcNe, top);
+      a.patch(to_done, a.pos());
+      in_loop = false;
+      i = end;
+      continue;
+    }
+    switch (op.k) {
+      case K::kLoopBegin:
         a.mov_imm32(kRbx, op.a);
         a.xor_self32(kR12);
         a.xor_self32(kR13);
@@ -583,12 +693,13 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
         in_loop = true;
         break;
       case K::kLoopEnd:
-        a.add_r64_imm32(kR12, d32(loop_s.off_stride));
-        a.add_r64_imm32(kR13, d32(loop_s.word_stride * 4));
+        step(1);
         a.dec32(kRbx);
         a.jcc_back(kCcNe, loop_top);
         in_loop = false;
         break;
+      default:
+        emit_op(op, 0, 0);
     }
   }
 
@@ -600,6 +711,7 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
   const std::size_t rx_at = a.pos();
   a.mov_imm32(kRax, 2);  // ExecStatus::kRetryXid
   const std::size_t epi_at = a.pos();
+  if (p.has_count) a.pop64(kR14);
   if (has_loop) {
     a.pop64(kR13);
     a.pop64(kR12);
@@ -617,8 +729,8 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
 // ---------------------------------------------------------------------------
 //
 // Args stay where AAPCS64 puts them (we never call out):
-//   encode: x0 = words, w1 = xid, x2 = out,   x3 = tmpl
-//   decode: x0 = in,    x1 = inlen, w2 = xid, x3 = words
+//   encode: x0 = words, w1 = xid, x2 = out,   x3 = tmpl, w4 = count
+//   decode: x0 = in,    x1 = inlen, w2 = xid, x3 = words, w4 = count
 // x9/x11 hold materialized addresses, x10 data, w12 copy counters;
 // loops use w13 (counter), x14 (buffer disp), x15 (word disp).  All of
 // x9-x15 are temporaries, so there is no prologue.  Addresses are
@@ -757,7 +869,10 @@ class A64 {
   void ret() { ins(0xD65F03C0u); }
 };
 
+constexpr int kCondEq = 0;
 constexpr int kCondNe = 1;
+constexpr int kCondHs = 2;  // unsigned >=
+constexpr int kCondLo = 3;  // unsigned <
 constexpr int kCondHi = 8;
 constexpr int kWzr = 31;
 
@@ -803,8 +918,8 @@ void a64_copy(A64& a, std::uint32_t len) {
 
 std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
   A64 a;
-  // Encode: x0 = words, w1 = xid, x2 = out, x3 = tmpl.
-  // Decode: x0 = in, x1 = inlen, w2 = xid, x3 = words.
+  // Encode: x0 = words, w1 = xid, x2 = out, x3 = tmpl, w4 = count.
+  // Decode: x0 = in, x1 = inlen, w2 = xid, x3 = words, w4 = count.
   const int buf = p.is_encode ? 2 : 0;
   const int words = p.is_encode ? 0 : 3;
   const int xid = p.is_encode ? 1 : 2;
@@ -818,29 +933,32 @@ std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
   const auto bdisp = [&]() { return in_loop ? 14 : -1; };
   const auto wdisp = [&]() { return in_loop ? 15 : -1; };
 
-  for (const FusedOp& op : p.ops) {
+  // One fused op; `doff` / `dword` shift its buffer / word-array
+  // offsets (the unrolled copies of a count loop body).
+  auto emit_op = [&](const FusedOp& op, std::uint32_t doff,
+                     std::uint32_t dword) {
     switch (op.k) {
       case K::kCopyTmpl:
         a64_addr(a, 9, 3, op.off, -1);  // template: iteration-0 image
-        a64_addr(a, 11, buf, op.off, bdisp());
+        a64_addr(a, 11, buf, op.off + doff, bdisp());
         a64_copy(a, op.b);
         break;
       case K::kStoreWord:
-        a64_addr(a, 9, words, op.a, wdisp());
+        a64_addr(a, 9, words, op.a + dword, wdisp());
         a.ldr_w0(10, 9);
         a.rev_w(10, 10);
-        a64_addr(a, 11, buf, op.off, bdisp());
+        a64_addr(a, 11, buf, op.off + doff, bdisp());
         a.str_w0(10, 11);
         break;
       case K::kStoreXid:
         a.mov_w(10, xid);
         a.rev_w(10, 10);
-        a64_addr(a, 11, buf, op.off, bdisp());
+        a64_addr(a, 11, buf, op.off + doff, bdisp());
         a.str_w0(10, 11);
         break;
       case K::kCopyArgBytes: {
-        a64_addr(a, 9, words, op.a, wdisp());
-        a64_addr(a, 11, buf, op.off, bdisp());
+        a64_addr(a, 9, words, op.a + dword, wdisp());
+        a64_addr(a, 11, buf, op.off + doff, bdisp());
         a64_copy(a, op.b);
         const auto padded = static_cast<std::uint32_t>(xdr_pad4(op.b));
         for (std::uint32_t i = op.b; i < padded; ++i) {
@@ -849,20 +967,20 @@ std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
         break;
       }
       case K::kLoadWord:
-        a64_addr(a, 9, buf, op.off, bdisp());
+        a64_addr(a, 9, buf, op.off + doff, bdisp());
         a.ldr_w0(10, 9);
         a.rev_w(10, 10);
-        a64_addr(a, 11, words, op.a, wdisp());
+        a64_addr(a, 11, words, op.a + dword, wdisp());
         a.str_w0(10, 11);
         break;
       case K::kSetWord:
         a.mov_imm_w(10, static_cast<std::uint32_t>(op.imm));
-        a64_addr(a, 11, words, op.a, wdisp());
+        a64_addr(a, 11, words, op.a + dword, wdisp());
         a.str_w0(10, 11);
         break;
       case K::kCopyResBytes: {
-        a64_addr(a, 9, buf, op.off, bdisp());
-        a64_addr(a, 11, words, op.a, wdisp());
+        a64_addr(a, 9, buf, op.off + doff, bdisp());
+        a64_addr(a, 11, words, op.a + dword, wdisp());
         a64_copy(a, op.b);
         const auto padded = static_cast<std::uint32_t>(xdr_pad4(op.b));
         for (std::uint32_t i = op.b; i < padded; ++i) {
@@ -871,7 +989,7 @@ std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
         break;
       }
       case K::kGuardEq:
-        a64_addr(a, 9, buf, op.off, bdisp());
+        a64_addr(a, 9, buf, op.off + doff, bdisp());
         a.ldr_w0(10, 9);
         a.rev_w(10, 10);
         a.mov_imm_w(12, static_cast<std::uint32_t>(op.imm));
@@ -879,14 +997,14 @@ std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
         fixups.emplace_back(a.bcond_fwd(kCondNe), kFb);
         break;
       case K::kGuardXid:
-        a64_addr(a, 9, buf, op.off, bdisp());
+        a64_addr(a, 9, buf, op.off + doff, bdisp());
         a.ldr_w0(10, 9);
         a.rev_w(10, 10);
         a.cmp_w(10, xid);
         fixups.emplace_back(a.bcond_fwd(kCondNe), kRx);
         break;
       case K::kGuardBool:
-        a64_addr(a, 9, buf, op.off, bdisp());
+        a64_addr(a, 9, buf, op.off + doff, bdisp());
         a.ldr_w0(10, 9);
         a.rev_w(10, 10);
         a.cmp_w_imm(10, 1);
@@ -898,6 +1016,62 @@ std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
         fixups.emplace_back(a.bcond_fwd(kCondNe), kFb);
         break;
       case K::kLoopBegin:
+      case K::kLoopEnd:
+        break;  // handled by the walk below
+    }
+  };
+
+  // Advances the displacement registers by `times` iterations.
+  auto step = [&](std::uint32_t times) {
+    a.mov_imm_x(9, std::uint64_t{loop_s.off_stride} * times);
+    a.add_x(14, 14, 9);
+    a.mov_imm_x(9, std::uint64_t{loop_s.word_stride} * 4 * times);
+    a.add_x(15, 15, 9);
+  };
+
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    const FusedOp& op = p.ops[i];
+    if (op.k == K::kLoopBegin && op.a == kCountTrip) {
+      // Count loop: w13 = count; k-wide trips, then a remainder loop;
+      // count 0 skips the body.
+      std::size_t end = i + 1;
+      while (p.ops[end].k != K::kLoopEnd) ++end;
+      const std::uint32_t k = op.b;  // <= count_cap, fits cmp's imm12
+      loop_s = unpack_loop_strides(op.imm);
+      in_loop = true;
+      a.mov_w(13, 4);
+      a.mov_imm_x(14, 0);
+      a.mov_imm_x(15, 0);
+      if (k > 1) {
+        a.cmp_w_imm(13, k);
+        const std::size_t to_rem = a.bcond_fwd(kCondLo);
+        const std::size_t top = a.pos();
+        for (std::uint32_t u = 0; u < k; ++u) {
+          for (std::size_t j = i + 1; j < end; ++j) {
+            emit_op(p.ops[j], loop_s.off_stride * u,
+                    loop_s.word_stride * 4 * u);
+          }
+        }
+        step(k);
+        a.subs_w_imm(13, 13, k);
+        a.cmp_w_imm(13, k);
+        a.bcond_back(kCondHs, top);
+        a.patch_bcond(to_rem, a.pos());
+      }
+      a.cmp_w_imm(13, 0);
+      const std::size_t to_done = a.bcond_fwd(kCondEq);
+      const std::size_t top = a.pos();
+      for (std::size_t j = i + 1; j < end; ++j) emit_op(p.ops[j], 0, 0);
+      step(1);
+      a.subs_w_imm(13, 13, 1);
+      a.bcond_back(kCondNe, top);
+      a.patch_bcond(to_done, a.pos());
+      in_loop = false;
+      i = end;
+      continue;
+    }
+    switch (op.k) {
+      case K::kLoopBegin:
         a.mov_imm_w(13, op.a);
         a.mov_imm_x(14, 0);
         a.mov_imm_x(15, 0);
@@ -906,14 +1080,13 @@ std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
         in_loop = true;
         break;
       case K::kLoopEnd:
-        a.mov_imm_x(9, loop_s.off_stride);
-        a.add_x(14, 14, 9);
-        a.mov_imm_x(9, std::uint64_t{loop_s.word_stride} * 4);
-        a.add_x(15, 15, 9);
+        step(1);
         a.subs_w_imm(13, 13, 1);
         a.bcond_back(kCondNe, loop_top);
         in_loop = false;
         break;
+      default:
+        emit_op(op, 0, 0);
     }
   }
 
@@ -982,9 +1155,11 @@ struct CompiledPlan::ExecMem {
 namespace {
 
 using EncodeFn = std::uint32_t (*)(const std::uint32_t*, std::uint32_t,
-                                   std::uint8_t*, const std::uint8_t*);
+                                   std::uint8_t*, const std::uint8_t*,
+                                   std::uint32_t);
 using DecodeFn = std::uint32_t (*)(const std::uint8_t*, std::uint64_t,
-                                   std::uint32_t, std::uint32_t*);
+                                   std::uint32_t, std::uint32_t*,
+                                   std::uint32_t);
 
 }  // namespace
 
@@ -1026,37 +1201,34 @@ std::unique_ptr<CompiledPlan> CompiledPlan::compile(const Plan& plan) {
   auto cp = std::unique_ptr<CompiledPlan>(new CompiledPlan());
   cp->mem_ = std::move(mem);
   cp->tmpl_ = std::move(prog.tmpl);
-  cp->is_encode_ = plan.is_encode;
-  cp->out_size_ = plan.out_size;
-  cp->expected_in_ = plan.expected_in;
-  cp->words_needed_ = plan.words_needed;
+  cp->contract_ = plan;
+  cp->contract_.instrs.clear();
   cp->code_size_ = code.size();
   return cp;
 }
 
 ExecStatus CompiledPlan::run_encode(std::span<const std::uint32_t> words,
-                                    std::uint32_t xid,
-                                    MutableByteSpan out) const {
-  if (!is_encode_) return ExecStatus::kFallback;
-  // Identical precheck (and check order) to run_plan_encode.
-  if (out.size() < out_size_ || words.size() < words_needed_) {
-    return ExecStatus::kFallback;
-  }
+                                    std::uint32_t xid, MutableByteSpan out,
+                                    std::uint32_t count) const {
+  if (!contract_.is_encode) return ExecStatus::kFallback;
+  // The same prechecks as run_plan_encode.
+  const ExecStatus st = begin_encode(contract_, words.size(), out, count);
+  if (st != ExecStatus::kOk) return st;
   const auto fn = reinterpret_cast<EncodeFn>(mem_->base);
-  return static_cast<ExecStatus>(fn(words.data(), xid, out.data(),
-                                    tmpl_.data()));
+  return static_cast<ExecStatus>(
+      fn(words.data(), xid, out.data(), tmpl_.data(), count));
 }
 
 ExecStatus CompiledPlan::run_decode(ByteSpan in, std::uint32_t xid,
                                     std::span<std::uint32_t> words) const {
-  if (is_encode_) return ExecStatus::kFallback;
-  // Identical prechecks (and check order) to run_plan_decode.
-  if (words.size() < words_needed_) return ExecStatus::kFallback;
-  if (expected_in_ != 0 && in.size() < expected_in_) {
-    return ExecStatus::kFallback;
-  }
+  if (contract_.is_encode) return ExecStatus::kFallback;
+  // The same prechecks as run_plan_decode.
+  std::uint32_t count = 0;
+  const ExecStatus st = begin_decode(contract_, words.size(), in, &count);
+  if (st != ExecStatus::kOk) return st;
   const auto fn = reinterpret_cast<DecodeFn>(mem_->base);
-  return static_cast<ExecStatus>(fn(in.data(), in.size(), xid, words.data()));
+  return static_cast<ExecStatus>(
+      fn(in.data(), in.size(), xid, words.data(), count));
 }
 
 }  // namespace tempo::pe

@@ -17,6 +17,9 @@
 //     expansion re-fused, so a loop of word-regular copies becomes a
 //     handful of big moves), larger loops keep a two-register
 //     displacement loop,
+//   * a class plan's count loop takes its trip count from an argument
+//     register, is skipped at count 0, and runs its body unrolled
+//     k-wide (k picked from the body size) with a remainder loop,
 //   * guards become early-exit compare+branch sequences returning the
 //     same ExecStatus codes as the executor.
 //
@@ -50,8 +53,13 @@ namespace tempo::pe {
 
 // Loops whose full expansion stays at or below this many plan ops are
 // unrolled at compile time (the JIT-side analog of the Table 4 unroll
-// policy); larger loops keep a native counter loop.
+// policy); larger loops keep a native counter loop.  A count loop is
+// never expanded: its trip count is a run-time input.
 inline constexpr std::uint32_t kJitFullUnrollOps = 256;
+
+// A count loop's native body repeats the plan body k times per trip, k
+// chosen so the unrolled body holds about this many plan ops.
+inline constexpr std::uint32_t kJitCountLoopOps = 16;
 
 // True when this process runs on a host the JIT can target.
 bool jit_supported_host();
@@ -72,12 +80,14 @@ class CompiledPlan {
   CompiledPlan(const CompiledPlan&) = delete;
   CompiledPlan& operator=(const CompiledPlan&) = delete;
 
-  bool is_encode() const { return is_encode_; }
+  bool is_encode() const { return contract_.is_encode; }
 
   // Same contract and same failure codes as run_plan_encode: `out`
-  // needs plan.out_size bytes and `words` plan.words_needed slots.
+  // needs plan.out_size_at(count) bytes and `words`
+  // plan.words_needed_at(count) slots.
   ExecStatus run_encode(std::span<const std::uint32_t> words,
-                        std::uint32_t xid, MutableByteSpan out) const;
+                        std::uint32_t xid, MutableByteSpan out,
+                        std::uint32_t count = 0) const;
 
   // Same contract as run_plan_decode.
   ExecStatus run_decode(ByteSpan in, std::uint32_t xid,
@@ -96,10 +106,7 @@ class CompiledPlan {
 
   std::unique_ptr<ExecMem> mem_;
   std::vector<std::uint8_t> tmpl_;  // encode-side constant image
-  bool is_encode_ = true;
-  std::uint32_t out_size_ = 0;
-  std::uint32_t expected_in_ = 0;
-  std::uint32_t words_needed_ = 0;
+  Plan contract_;  // the plan's declared sizes and count; no instrs
   std::size_t code_size_ = 0;
 };
 
@@ -121,7 +128,9 @@ struct FusedOp {
     kGuardXid,      // load_be32(in+off) == xid  else kRetryXid
     kGuardBool,     // load_be32(in+off) <= 1    else kFallback
     kGuardLen,      // inlen == imm              else kFallback
-    kLoopBegin,     // a = iterations, imm = packed strides
+    kLoopBegin,     // a = iterations (kCountTrip: the count argument),
+                    // b = a count loop's unroll width,
+                    // imm = packed strides
     kLoopEnd,
   };
   K k = K::kCopyTmpl;
@@ -133,6 +142,7 @@ struct FusedOp {
 
 struct FusedProgram {
   bool is_encode = true;
+  bool has_count = false;  // the stub takes the count as its 5th argument
   std::vector<FusedOp> ops;
   std::vector<std::uint8_t> tmpl;
   std::uint32_t out_size = 0;

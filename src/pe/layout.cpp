@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/bytes.h"
+#include "pe/specializer.h"
 
 namespace tempo::pe {
 
@@ -394,6 +395,48 @@ Result<Value> unflatten_value(const Type& t,
 Status collect_counts(const Type& t, const Value& v,
                       std::vector<std::uint32_t>& out) {
   return collect_counts_rec(t, v, out);
+}
+
+namespace {
+
+bool holds_fixed_array(const Type& t) {
+  switch (t.kind) {
+    case Kind::kArrayFixed:
+      return t.bound >= 2 || holds_fixed_array(*t.elem);
+    case Kind::kStruct:
+      for (const auto& f : t.fields) {
+        if (holds_fixed_array(*f.type)) return true;
+      }
+      return false;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+const Type* tail_array(const Type& t) {
+  if (!plan_eligible(t)) return nullptr;
+  switch (t.kind) {
+    case Kind::kArrayVar: {
+      const auto inner = count_params(*t.elem);
+      if (!inner.is_ok() || *inner != 0 || holds_fixed_array(*t.elem) ||
+          t.bound < kClassSampleHi) {
+        return nullptr;
+      }
+      return &t;
+    }
+    case Kind::kStruct: {
+      if (t.fields.empty()) return nullptr;
+      for (std::size_t i = 0; i + 1 < t.fields.size(); ++i) {
+        const auto c = count_params(*t.fields[i].type);
+        if (!c.is_ok() || *c != 0) return nullptr;
+      }
+      return tail_array(*t.fields.back().type);
+    }
+    default:
+      return nullptr;
+  }
 }
 
 }  // namespace tempo::pe

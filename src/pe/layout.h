@@ -12,9 +12,11 @@
 //  * fixed opaque[n]: pad4(n)/4 slots holding the raw bytes,
 //  * struct: fields in order,
 //  * fixed array[n]: n * slots(elem),
-//  * variable array<bound>: count0 * slots(elem) where count0 is the
-//    *specialization-time* count (the count itself is not stored in the
-//    block; the plan writes it as a constant),
+//  * variable array<bound>: count * slots(elem).  The count itself is
+//    not stored in the block: an exact plan pins it at specialization
+//    time and writes it as a constant; a class plan takes it as a
+//    run-time input (read from the wire on decode, passed by the caller
+//    on encode), so the block's length is then affine in the count,
 //  * string / optional / union: not plan-eligible (the specializing stub
 //    front end falls back to the generic path for these).
 #pragma once
@@ -57,5 +59,13 @@ Result<idl::Value> unflatten_value(const idl::Type& t,
 // (used to check against the specialization's pinned counts).
 Status collect_counts(const idl::Type& t, const idl::Value& v,
                       std::vector<std::uint32_t>& out);
+
+// The variable array a class plan can serve for `t`: the type's only
+// variable array, ending its wire encoding, with fixed-shape elements
+// that hold no fixed array of two or more elements (at unroll_factor 1
+// those would become loops nested in the element loop) and a bound that
+// admits the generalizer's two samples.  Null when `t` needs per-count
+// plans.
+const idl::Type* tail_array(const idl::Type& t);
 
 }  // namespace tempo::pe

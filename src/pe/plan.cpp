@@ -57,12 +57,14 @@ inline ExecStatus apply_encode(const PInstr& ins, std::uint32_t doff,
   }
 }
 
+// `len_growth` is in_slope * count: what a class plan's kGuardLen adds
+// to its count-0 immediate (0 for an exact plan).
 template <bool kCount>
 inline ExecStatus apply_decode(const PInstr& ins, std::uint32_t doff,
                                std::uint32_t dword, ByteSpan in,
                                std::uint32_t xid,
                                std::span<std::uint32_t> words,
-                               CostEvents* cost) {
+                               std::uint64_t len_growth, CostEvents* cost) {
   const std::uint32_t off = ins.off + doff;
   if constexpr (kCount) {
     ++cost->dispatches;
@@ -119,7 +121,8 @@ inline ExecStatus apply_decode(const PInstr& ins, std::uint32_t doff,
       if constexpr (kCount) {
         ++cost->alu_ops;
       }
-      return in.size() == ins.imm ? ExecStatus::kOk : ExecStatus::kFallback;
+      return in.size() == ins.imm + len_growth ? ExecStatus::kOk
+                                               : ExecStatus::kFallback;
     default:
       return ExecStatus::kFallback;
   }
@@ -128,16 +131,18 @@ inline ExecStatus apply_decode(const PInstr& ins, std::uint32_t doff,
 template <bool kCount, bool kEncode>
 ExecStatus run_impl(const Plan& plan, std::span<const std::uint32_t> cwords,
                     std::span<std::uint32_t> mwords, std::uint32_t xid,
-                    MutableByteSpan out, ByteSpan in, CostEvents* cost) {
+                    MutableByteSpan out, ByteSpan in, std::uint32_t count,
+                    CostEvents* cost) {
   if constexpr (kCount) {
     cost->code_bytes += static_cast<std::int64_t>(plan.code_bytes());
   }
+  const std::uint64_t len_growth = std::uint64_t{plan.in_slope} * count;
   const std::size_t n = plan.instrs.size();
   std::size_t i = 0;
   while (i < n) {
     const PInstr& ins = plan.instrs[i];
     if (ins.op == POp::kLoop) {
-      const std::uint32_t iters = ins.a;
+      const std::uint32_t iters = ins.a == kCountTrip ? count : ins.a;
       const std::uint32_t body = ins.b;
       const LoopStrides strides = unpack_loop_strides(ins.imm);
       const std::uint32_t off_stride = strides.off_stride;
@@ -159,7 +164,7 @@ ExecStatus run_impl(const Plan& plan, std::span<const std::uint32_t> cwords,
                                       xid, out.data(), cost);
           } else {
             st = apply_decode<kCount>(plan.instrs[i + j], doff, dword, in, xid,
-                                      mwords, cost);
+                                      mwords, len_growth, cost);
           }
           if (st != ExecStatus::kOk) return st;
         }
@@ -171,7 +176,7 @@ ExecStatus run_impl(const Plan& plan, std::span<const std::uint32_t> cwords,
     if constexpr (kEncode) {
       st = apply_encode<kCount>(ins, 0, 0, cwords, xid, out.data(), cost);
     } else {
-      st = apply_decode<kCount>(ins, 0, 0, in, xid, mwords, cost);
+      st = apply_decode<kCount>(ins, 0, 0, in, xid, mwords, len_growth, cost);
     }
     if (st != ExecStatus::kOk) return st;
     ++i;
@@ -181,33 +186,69 @@ ExecStatus run_impl(const Plan& plan, std::span<const std::uint32_t> cwords,
 
 }  // namespace
 
+ExecStatus begin_encode(const Plan& contract, std::size_t words,
+                        MutableByteSpan out, std::uint32_t count) {
+  // The single residual capacity check (everything per-item was folded).
+  if (count > contract.count_cap || out.size() < contract.out_size_at(count) ||
+      words < contract.words_needed_at(count)) {
+    return ExecStatus::kFallback;
+  }
+  if (contract.has_count()) store_be32(out.data() + contract.count_off, count);
+  return ExecStatus::kOk;
+}
+
+ExecStatus begin_decode(const Plan& contract, std::size_t words, ByteSpan in,
+                        std::uint32_t* count) {
+  *count = 0;
+  if (!contract.has_count()) {
+    if (words < contract.words_needed) return ExecStatus::kFallback;
+    // Even without an explicit kGuardLen (void results), never read past
+    // the payload: the largest offset touched is expected_in.
+    if (contract.expected_in != 0 && in.size() < contract.expected_in) {
+      return ExecStatus::kFallback;
+    }
+    return ExecStatus::kOk;
+  }
+  // The fixed prefix (count 0's length) holds the count word.
+  if (in.size() < contract.expected_in) return ExecStatus::kFallback;
+  const std::uint32_t n = load_be32(in.data() + contract.count_off);
+  if (n > contract.count_cap || in.size() != contract.expected_in_at(n) ||
+      words < contract.words_needed_at(n)) {
+    return ExecStatus::kFallback;
+  }
+  *count = n;
+  return ExecStatus::kOk;
+}
+
+std::uint32_t peek_count(const Plan& plan, ByteSpan in) {
+  if (!plan.has_count() || in.size() < std::size_t{plan.count_off} + 4) {
+    return kNoCount;
+  }
+  return load_be32(in.data() + plan.count_off);
+}
+
 ExecStatus run_plan_encode(const Plan& plan,
                            std::span<const std::uint32_t> words,
                            std::uint32_t xid, MutableByteSpan out,
-                           CostEvents* cost) {
-  // The single residual capacity check (everything per-item was folded).
-  if (out.size() < plan.out_size || words.size() < plan.words_needed) {
-    return ExecStatus::kFallback;
-  }
+                           CostEvents* cost, std::uint32_t count) {
+  const ExecStatus st = begin_encode(plan, words.size(), out, count);
+  if (st != ExecStatus::kOk) return st;
   if (cost) {
-    return run_impl<true, true>(plan, words, {}, xid, out, {}, cost);
+    return run_impl<true, true>(plan, words, {}, xid, out, {}, count, cost);
   }
-  return run_impl<false, true>(plan, words, {}, xid, out, {}, nullptr);
+  return run_impl<false, true>(plan, words, {}, xid, out, {}, count, nullptr);
 }
 
 ExecStatus run_plan_decode(const Plan& plan, ByteSpan in, std::uint32_t xid,
                            std::span<std::uint32_t> words,
                            CostEvents* cost) {
-  if (words.size() < plan.words_needed) return ExecStatus::kFallback;
-  // Even without an explicit kGuardLen (void results), never read past
-  // the payload: the largest offset touched is expected_in.
-  if (plan.expected_in != 0 && in.size() < plan.expected_in) {
-    return ExecStatus::kFallback;
-  }
+  std::uint32_t count = 0;
+  const ExecStatus st = begin_decode(plan, words.size(), in, &count);
+  if (st != ExecStatus::kOk) return st;
   if (cost) {
-    return run_impl<true, false>(plan, {}, words, xid, {}, in, cost);
+    return run_impl<true, false>(plan, {}, words, xid, {}, in, count, cost);
   }
-  return run_impl<false, false>(plan, {}, words, xid, {}, in, nullptr);
+  return run_impl<false, false>(plan, {}, words, xid, {}, in, count, nullptr);
 }
 
 namespace {
@@ -310,9 +351,15 @@ std::string instr_to_string(const PInstr& ins) {
       break;
     case POp::kLoop: {
       const LoopStrides s = unpack_loop_strides(ins.imm);
-      std::snprintf(buf, sizeof(buf),
-                    "loop %u times (off += %u, word += %u) {", ins.a,
-                    s.off_stride, s.word_stride);
+      if (ins.a == kCountTrip) {
+        std::snprintf(buf, sizeof(buf),
+                      "loop count times (off += %u, word += %u) {",
+                      s.off_stride, s.word_stride);
+      } else {
+        std::snprintf(buf, sizeof(buf),
+                      "loop %u times (off += %u, word += %u) {", ins.a,
+                      s.off_stride, s.word_stride);
+      }
       break;
     }
   }
@@ -327,6 +374,11 @@ std::string Plan::to_string() const {
                          std::to_string(out_size)
                    : "// specialized decode plan, expected_in=" +
                          std::to_string(expected_in);
+  if (has_count()) {
+    out += " + " + std::to_string(is_encode ? out_slope : in_slope) +
+           "*count, count word at " + std::to_string(count_off) +
+           ", count <= " + std::to_string(count_cap);
+  }
   out += ", code_bytes=" + std::to_string(code_bytes()) + "\n";
   std::size_t i = 0;
   while (i < instrs.size()) {

@@ -589,4 +589,77 @@ Result<Plan> specialize(const Program& program, const std::string& entry,
   return spec.run(entry);
 }
 
+Result<Plan> generalize_count(const Plan& lo, const Plan& hi) {
+  constexpr std::uint32_t kStep = kClassSampleHi - kClassSampleLo;
+  auto refuse = [](const std::string& why) {
+    return Status(invalid_argument("no class plan: " + why));
+  };
+  const std::size_t n = lo.instrs.size();
+  if (lo.is_encode != hi.is_encode || hi.instrs.size() != n) {
+    return refuse("the samples differ in shape");
+  }
+  // The loop that ends the plan runs one element per iteration.
+  std::size_t loop = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (lo.instrs[i].op == POp::kLoop) loop = i;
+  }
+  if (loop == n || loop + 1 + lo.instrs[loop].b != n ||
+      lo.instrs[loop].a != kClassSampleLo ||
+      hi.instrs[loop].a != kClassSampleHi ||
+      lo.instrs[loop].imm != hi.instrs[loop].imm ||
+      lo.instrs[loop].b != hi.instrs[loop].b) {
+    return refuse("no per-element loop ends the plan");
+  }
+  const LoopStrides s = unpack_loop_strides(lo.instrs[loop].imm);
+  const std::uint32_t size_slope = s.off_stride;
+  // Declared sizes must grow by exactly the loop's strides.
+  const std::uint32_t lo_size = lo.is_encode ? lo.out_size : lo.expected_in;
+  const std::uint32_t hi_size = hi.is_encode ? hi.out_size : hi.expected_in;
+  if (size_slope == 0 ||
+      std::uint64_t{lo_size} + std::uint64_t{size_slope} * kStep != hi_size ||
+      std::uint64_t{lo.words_needed} + std::uint64_t{s.word_stride} * kStep !=
+          hi.words_needed ||
+      lo_size < std::uint64_t{size_slope} * kClassSampleLo ||
+      lo.words_needed < std::uint64_t{s.word_stride} * kClassSampleLo) {
+    return refuse("declared sizes are not affine in the count");
+  }
+
+  Plan out;
+  out.is_encode = lo.is_encode;
+  out.words_needed = lo.words_needed - s.word_stride * kClassSampleLo;
+  out.words_slope = s.word_stride;
+  const std::uint32_t base = lo_size - size_slope * kClassSampleLo;
+  if (lo.is_encode) {
+    out.out_size = base;
+    out.out_slope = size_slope;
+  } else {
+    out.expected_in = base;
+    out.in_slope = size_slope;
+  }
+  const POp count_op = lo.is_encode ? POp::kPutConst : POp::kGuardConstEq;
+  for (std::size_t i = 0; i < n; ++i) {
+    PInstr a = lo.instrs[i];
+    const PInstr& b = hi.instrs[i];
+    if (i == loop) {
+      a.a = kCountTrip;
+    } else if (i < loop && a.op == count_op && b.op == a.op &&
+               a.off == b.off && a.a == b.a && a.b == b.b &&
+               a.imm == kClassSampleLo && b.imm == kClassSampleHi) {
+      if (out.has_count()) return refuse("a second count on one side");
+      out.count_off = a.off;
+      continue;  // the wrappers read or write the count word
+    } else if (i < loop && a.op == POp::kGuardLen && b.op == a.op &&
+               a.imm + std::uint64_t{size_slope} * kStep == b.imm &&
+               a.imm >= std::uint64_t{size_slope} * kClassSampleLo) {
+      a.imm -= std::uint64_t{size_slope} * kClassSampleLo;
+    } else if (a.op != b.op || a.off != b.off || a.a != b.a || a.b != b.b ||
+               a.imm != b.imm) {
+      return refuse("the samples differ at instruction " + std::to_string(i));
+    }
+    out.instrs.push_back(a);
+  }
+  if (!out.has_count()) return refuse("no count word");
+  return out;
+}
+
 }  // namespace tempo::pe

@@ -55,4 +55,24 @@ struct SpecInput {
 Result<Plan> specialize(const Program& program, const std::string& entry,
                         const SpecInput& input);
 
+// Count-polymorphic ("class") plans.  The counts a class plan is
+// generalized from: two samples with unroll_factor 1, where Table 4's
+// kept loop runs one element per iteration with no remainder.
+inline constexpr std::uint32_t kClassSampleLo = 2;
+inline constexpr std::uint32_t kClassSampleHi = 3;
+
+// Generalizes one entry point specialized at kClassSampleLo (`lo`) and
+// kClassSampleHi (`hi`) into a class plan whose count is a run-time
+// input — the two-sample affinity check spec_for runs across two
+// unrolled blocks, applied one level up.  The samples must be identical
+// except for the count word's immediate (kGuardConstEq on decode,
+// kPutConst on encode), the trip count of the loop that ends the plan,
+// and the declared sizes (kGuardLen included), whose slopes must equal
+// that loop's strides.  Any other difference — a second count, ops
+// after the loop, a body that did not stay a loop — is refused, and the
+// caller keeps per-count plans.  The count word's op is dropped (the
+// wrappers read or write the word), the loop takes kCountTrip, and the
+// sizes become their count-0 values; count_cap is left 0 for the caller.
+Result<Plan> generalize_count(const Plan& lo, const Plan& hi);
+
 }  // namespace tempo::pe

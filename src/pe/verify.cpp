@@ -20,6 +20,7 @@ const char* verify_code_name(VerifyCode code) {
     case VerifyCode::kMissingLenContract: return "missing-len-contract";
     case VerifyCode::kGuardLenMismatch: return "guard-len-mismatch";
     case VerifyCode::kIncompleteOutput: return "incomplete-output";
+    case VerifyCode::kCountContract: return "count-contract";
   }
   return "unknown";
 }
@@ -155,36 +156,50 @@ void merge_intervals(std::vector<Interval>* v) {
 // coverage as inexact instead of rejecting (bounds stay exact).
 constexpr std::uint64_t kCoverageExpandLimit = 4096;
 
-}  // namespace
-
-VerifyResult verify_plan(const Plan& plan) {
-  VerifyResult r;
+// One pass of the abstract interpretation with the count fixed at
+// `count` (always 0 for an exact plan): declared bounds are taken at
+// that count and a count loop runs `count` times.  Issues append to
+// `r`; facts take the maximum over passes.
+void verify_at(const Plan& plan, std::uint32_t count, VerifyResult& r) {
   VerifyFacts& f = r.facts;
-  f.coverage_exact = plan.is_encode;
-  const std::uint64_t out_size = plan.out_size;
-  const std::uint64_t in_size = plan.expected_in;
-  const std::uint64_t word_bytes = std::uint64_t{plan.words_needed} * 4;
+  const std::uint64_t out_size = plan.out_size_at(count);
+  const std::uint64_t in_size = plan.expected_in_at(count);
+  const std::uint64_t word_bytes = plan.words_needed_at(count) * 4;
+  const std::string at =
+      plan.has_count() ? "at count " + std::to_string(count) + ": " : "";
 
   auto reject = [&](VerifyCode code, std::size_t idx, std::string detail) {
-    r.issues.push_back(VerifyIssue{code, idx, std::move(detail)});
+    r.issues.push_back(VerifyIssue{code, idx, at + detail});
   };
 
+  if (out_size > 0xFFFFFFFFull || in_size > 0xFFFFFFFFull ||
+      plan.words_needed_at(count) > 0xFFFFFFFFull) {
+    reject(VerifyCode::kStrideOverflow, 0,
+           "declared sizes pass the executor's 32-bit arithmetic");
+    return;
+  }
+
   std::vector<Interval> writes;  // encode output coverage
+  if (plan.is_encode && plan.has_count()) {
+    writes.push_back({plan.count_off, std::uint64_t{plan.count_off} + 4});
+  }
 
   // One instruction under a loop context: `iters` >= 1 executions with
   // byte displacement it*off_stride and slot displacement
   // it*word_stride (both 0 outside loops).  All arithmetic is 64-bit;
   // the final-iteration end is the maximum because strides are
   // non-negative, so one closed-form check covers every iteration.
+  // Returns the iteration-0 output interval (empty if none).
   auto check_op = [&](const PInstr& ins, std::size_t idx, std::uint64_t iters,
-                      std::uint64_t off_stride, std::uint64_t word_stride) {
+                      std::uint64_t off_stride,
+                      std::uint64_t word_stride) -> Interval {
     OpAccess a;
-    if (!op_access(ins, &a)) return;  // loop headers handled by the walk
+    if (!op_access(ins, &a)) return {};  // loop headers handled by the walk
     if (a.is_encode_op != plan.is_encode) {
       reject(VerifyCode::kDirectionMixed, idx,
              plan.is_encode ? "decode op in an encode plan"
                             : "encode op in a decode plan");
-      return;
+      return {};
     }
     const std::uint64_t max_doff = (iters - 1) * off_stride;
     const std::uint64_t max_dslots = (iters - 1) * word_stride;
@@ -218,8 +233,8 @@ VerifyResult verify_plan(const Plan& plan) {
       if (end > word_bytes) {
         reject(VerifyCode::kSlotOverflow, idx,
                range_detail("word-slot", end, word_bytes) +
-                   " (words_needed = " + std::to_string(plan.words_needed) +
-                   ")");
+                   " (words_needed = " +
+                   std::to_string(plan.words_needed_at(count)) + ")");
       }
       f.slot_end = std::max(f.slot_end, (end + 3) / 4);
     }
@@ -232,35 +247,43 @@ VerifyResult verify_plan(const Plan& plan) {
                    std::to_string(plan.expected_in));
       }
     }
-    // Record write coverage (encode only; bounds issues already noted).
-    if (plan.is_encode && a.out_len != 0 && f.coverage_exact) {
-      if (iters == 1 || off_stride == 0) {
-        writes.push_back({a.out_off, a.out_off + a.out_len});
-      } else if (a.out_len >= off_stride) {
-        // Each iteration's write overlaps or abuts the next: the union
-        // across all iterations is one contiguous interval.
-        writes.push_back({a.out_off, a.out_off + max_doff + a.out_len});
-      } else if (iters <= kCoverageExpandLimit) {
-        for (std::uint64_t it = 0; it < iters; ++it) {
-          const std::uint64_t lo = a.out_off + it * off_stride;
-          writes.push_back({lo, lo + a.out_len});
-        }
-      } else {
-        f.coverage_exact = false;
+    if (!plan.is_encode || a.out_len == 0) return {};
+    return {a.out_off, a.out_off + a.out_len};
+  };
+
+  // Write coverage of one op (or one loop body footprint) repeated
+  // `iters` times at `stride`.  Exact when each repetition overlaps or
+  // abuts the next, or when few enough to list; inexact otherwise.
+  auto cover = [&](Interval iv, std::uint64_t iters, std::uint64_t stride) {
+    if (iv.lo >= iv.hi || !f.coverage_exact || iters == 0) return;
+    if (iters == 1 || stride == 0 || iv.hi - iv.lo >= stride) {
+      writes.push_back({iv.lo, iv.hi + (iters - 1) * stride});
+    } else if (iters <= kCoverageExpandLimit) {
+      for (std::uint64_t it = 0; it < iters; ++it) {
+        writes.push_back({iv.lo + it * stride, iv.hi + it * stride});
       }
+    } else {
+      f.coverage_exact = false;
     }
   };
 
+  std::uint32_t loops = 0;
   const std::size_t n = plan.instrs.size();
   std::size_t i = 0;
   while (i < n) {
     const PInstr& ins = plan.instrs[i];
     if (ins.op != POp::kLoop) {
-      check_op(ins, i, /*iters=*/1, 0, 0);
+      cover(check_op(ins, i, /*iters=*/1, 0, 0), 1, 0);
       ++i;
       continue;
     }
-    const std::uint64_t iters = ins.a;
+    const bool count_loop = ins.a == kCountTrip;
+    if (count_loop && !plan.has_count()) {
+      reject(VerifyCode::kCountContract, i,
+             "loop takes the run-time count but the plan declares no "
+             "count word");
+    }
+    const std::uint64_t iters = count_loop ? count : ins.a;
     const std::uint64_t body = ins.b;
     if (i + 1 + body > n) {
       reject(VerifyCode::kTruncatedLoopBody, i,
@@ -271,7 +294,7 @@ VerifyResult verify_plan(const Plan& plan) {
       break;  // the stream shape is broken; nothing past here is meaningful
     }
     const LoopStrides s = unpack_loop_strides(ins.imm);
-    ++f.loop_count;
+    ++loops;
     f.max_loop_iters = std::max(f.max_loop_iters, iters);
     bool nested = false;
     for (std::uint64_t j = 0; j < body; ++j) {
@@ -296,14 +319,23 @@ VerifyResult verify_plan(const Plan& plan) {
                    " bytes on the final iteration, past the executor's "
                    "32-bit displacement arithmetic");
       } else {
+        // The body's iteration-0 footprint, repeated per iteration.
+        std::vector<Interval> foot;
         for (std::uint64_t j = 0; j < body; ++j) {
-          check_op(plan.instrs[i + 1 + j], i + 1 + j, iters, s.off_stride,
-                   s.word_stride);
+          foot.push_back(check_op(plan.instrs[i + 1 + j], i + 1 + j, iters,
+                                  s.off_stride, s.word_stride));
+        }
+        merge_intervals(&foot);
+        if (foot.size() == 1) {
+          cover(foot[0], iters, s.off_stride);
+        } else {
+          for (const Interval& iv : foot) cover(iv, iters, s.off_stride);
         }
       }
     }
     i += 1 + static_cast<std::size_t>(body);
   }
+  f.loop_count = loops;
 
   // Output completeness: an admitted encode plan must write every byte
   // of [0, out_size) or unwritten caller-buffer bytes ship on the wire.
@@ -322,7 +354,38 @@ VerifyResult verify_plan(const Plan& plan) {
                  "; the gap would leak uninitialized buffer bytes");
     }
   }
+}
 
+}  // namespace
+
+VerifyResult verify_plan(const Plan& plan) {
+  VerifyResult r;
+  r.facts.coverage_exact = plan.is_encode;
+  if (!plan.has_count()) {
+    verify_at(plan, 0, r);
+    return r;
+  }
+  // The wrappers touch the count word after checking only the count-0
+  // size, so it must lie inside the fixed prefix.
+  const std::uint64_t prefix = plan.is_encode ? plan.out_size
+                                              : plan.expected_in;
+  if (std::uint64_t{plan.count_off} + 4 > prefix) {
+    r.issues.push_back(VerifyIssue{
+        VerifyCode::kCountContract, 0,
+        "count word at byte " + std::to_string(plan.count_off) +
+            " lies outside the " + std::to_string(prefix) +
+            "-byte fixed prefix"});
+    return r;
+  }
+  // Affine bounds hold on [0, cap] iff they hold at the ends of each
+  // op's count range: 0 for prefix ops, 1 and cap for count-loop ops.
+  std::int64_t last = -1;
+  for (const std::uint32_t count : {0u, 1u, plan.count_cap}) {
+    if (count > plan.count_cap || count <= last) continue;
+    last = count;
+    verify_at(plan, count, r);
+    if (!r.ok()) break;
+  }
   return r;
 }
 

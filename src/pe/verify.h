@@ -41,6 +41,15 @@
 //     byte of [0, out_size); a gap would leak the caller's
 //     uninitialized buffer bytes onto the wire.
 //
+// A class plan (pe/plan.h) is proven for every count <= count_cap.
+// Every bound above is affine in the count, and an affine inequality
+// holds on an interval iff it holds at both ends, so the checks run at
+// count 0 (prefix ops; the count loop does not run), 1 and count_cap
+// (count-loop ops), still in closed form.  Coverage at those counts is
+// a contiguous prefix plus the count loop's iterations tiling onward,
+// which is affine too.  The count word itself must lie inside the
+// fixed prefix the wrappers check before they read or write it.
+//
 // What the executor and the JIT may assume after admission is written
 // up in src/pe/README.md ("Safety argument").
 #pragma once
@@ -68,6 +77,8 @@ enum class VerifyCode : std::uint8_t {
   kMissingLenContract,// decode plan reads input but expected_in == 0
   kGuardLenMismatch,  // kGuardLen imm != declared expected_in
   kIncompleteOutput,  // encode plan provably leaves out_size gaps
+  kCountContract,     // count loop without a count word, or a count
+                      // word outside the fixed prefix
 };
 
 const char* verify_code_name(VerifyCode code);
@@ -83,6 +94,7 @@ struct VerifyIssue {
 // Exact bounds the abstract interpretation computed.  For an admitted
 // plan these are facts the executor and the JIT may rely on; fuse_plan
 // consumes them instead of re-auditing op by op.
+// For a class plan the ends are taken at count_cap.
 struct VerifyFacts {
   std::uint64_t out_end = 0;    // 1 + highest output byte written
   std::uint64_t in_end = 0;     // 1 + highest input byte read
@@ -108,7 +120,7 @@ struct VerifyResult {
 
 // Statically verifies `plan` against its declared contract.  Pure
 // function of the plan; cost is O(instrs), independent of loop
-// iteration counts.
+// iteration counts and of the count cap.
 VerifyResult verify_plan(const Plan& plan);
 
 // ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ class XdrStream {
   // nullptr if the stream cannot expose its buffer (e.g. record stream
   // mid-fragment).  `n` must be a multiple of kXdrUnit.
   virtual std::uint8_t* inline_bytes(std::size_t n) = 0;
+  // Bytes inline_bytes could claim from the cursor on, the x_handy of a
+  // memory stream; 0 for streams that cannot inline.
+  virtual std::size_t inline_remaining() const { return 0; }
 
  protected:
   explicit XdrStream(XdrOp op) : op_(op) {}

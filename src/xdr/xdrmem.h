@@ -44,6 +44,9 @@ class XdrMem final : public XdrStream {
   std::size_t getpos() const override;
   bool setpos(std::size_t pos) override;
   std::uint8_t* inline_bytes(std::size_t n) override;
+  std::size_t inline_remaining() const override {
+    return handy_ > 0 ? static_cast<std::size_t>(handy_) : 0;
+  }
 
   // Bytes consumed so far (== getpos for this stream).
   std::size_t position() const { return getpos(); }

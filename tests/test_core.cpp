@@ -73,10 +73,16 @@ TEST(SpecializedInterfaceTest, RejectsNonEligibleTypes) {
 }
 
 TEST(SpecializedInterfaceTest, RejectsCountMismatch) {
-  SpecConfig cfg;  // missing the required counts
-  auto iface = SpecializedInterface::build(echo_array_proc(), kProg, kVers,
-                                           cfg);
-  EXPECT_FALSE(iface.is_ok());
+  SpecConfig cfg;
+  cfg.arg_counts = {4, 4};  // the echo type has one variable array
+  cfg.res_counts = {4};
+  EXPECT_FALSE(
+      SpecializedInterface::build(echo_array_proc(), kProg, kVers, cfg)
+          .is_ok());
+  // Counts left empty open the side instead: class plans.
+  EXPECT_TRUE(
+      SpecializedInterface::build(echo_array_proc(), kProg, kVers, {})
+          .is_ok());
 }
 
 // Specialized client against a *generic* server: wire compatibility.

@@ -408,12 +408,11 @@ TEST(MetricsPlane, LiveServerSnapshotIsCoherent) {
                           snap.counters["service.generic_path"]);
   EXPECT_GE(tier_sum, calls);
 
-  // Cache plane: one miss per distinct shape; gauges reflect the live
-  // cache.  (The hit/miss book is checked once the runtime has stopped.)
-  EXPECT_EQ(snap.counters["spec_cache.misses"],
-            static_cast<std::int64_t>(sizes.size()));
-  EXPECT_GE(snap.gauges["spec_cache.size"],
-            static_cast<std::int64_t>(sizes.size()));
+  // Cache plane: one miss for the echo procedure's class plan, whatever
+  // the lengths; gauges reflect the live cache.  (The hit/miss book is
+  // checked once the runtime has stopped.)
+  EXPECT_EQ(snap.counters["spec_cache.misses"], 1);
+  EXPECT_GE(snap.gauges["spec_cache.size"], 1);
   EXPECT_EQ(snap.gauges["spec_cache.capacity"], 32);
 
   // Arena plane is registered (counters exist even if UDP traffic
@@ -437,8 +436,7 @@ TEST(MetricsPlane, LiveServerSnapshotIsCoherent) {
   // still contribute).
   MetricsSnapshot after = common::metrics().snapshot();
   EXPECT_EQ(after.counters.count("rpc.udp_datagrams"), 0u);
-  EXPECT_GE(after.counters["spec_cache.misses"],
-            static_cast<std::int64_t>(sizes.size()));
+  EXPECT_GE(after.counters["spec_cache.misses"], 1);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // randomized end-to-end equivalence; this file pins the mechanisms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/endian.h"
@@ -329,6 +330,144 @@ TEST(JitFuse, OutOfBoundsSlotsRefuseToCompile) {
   plan.instrs = {ins(POp::kPutWord, 0, 0, 0), ins(POp::kPutWord, 4, 1, 0)};
   ji::FusedProgram prog;
   EXPECT_FALSE(ji::fuse_plan(plan, &prog));
+}
+
+// A class plan over an int array: the count word at byte 0, then one
+// kGetWord / kPutWord per element, trip count from the run-time count.
+Plan count_plan(bool encode, std::uint32_t cap) {
+  Plan plan;
+  plan.is_encode = encode;
+  plan.count_off = 0;
+  plan.count_cap = cap;
+  plan.words_slope = 1;
+  const std::uint64_t strides = pe::pack_loop_strides({4, 1});
+  if (encode) {
+    plan.out_size = 4;
+    plan.out_slope = 4;
+    plan.instrs = {ins(POp::kLoop, 0, pe::kCountTrip, 1, strides),
+                   ins(POp::kPutWord, 4, 0, 0)};
+  } else {
+    plan.expected_in = 4;
+    plan.in_slope = 4;
+    plan.instrs = {ins(POp::kGuardLen, 0, 0, 0, 4),
+                   ins(POp::kLoop, 0, pe::kCountTrip, 1, strides),
+                   ins(POp::kGetWord, 4, 0, 0)};
+  }
+  return plan;
+}
+
+TEST(JitFuse, CountLoopIsNeverExpanded) {
+  // 8 iterations of a 1-op body would be expanded for an exact loop.
+  for (const bool encode : {false, true}) {
+    ji::FusedProgram prog;
+    ASSERT_TRUE(ji::fuse_plan(count_plan(encode, 8), &prog));
+    EXPECT_TRUE(prog.has_count);
+    ASSERT_FALSE(prog.ops.empty());
+    bool count_loop = false;
+    for (const auto& op : prog.ops) {
+      EXPECT_NE(op.k, ji::FusedOp::K::kGuardLen)
+          << "the wrapper's precheck already checked the length";
+      if (op.k == ji::FusedOp::K::kLoopBegin) {
+        EXPECT_EQ(op.a, pe::kCountTrip);
+        EXPECT_EQ(op.b, 8u) << "unroll width is clamped to the cap";
+        count_loop = true;
+      }
+    }
+    EXPECT_TRUE(count_loop);
+  }
+  ji::FusedProgram wide;
+  ASSERT_TRUE(ji::fuse_plan(count_plan(false, 2048), &wide));
+  for (const auto& op : wide.ops) {
+    if (op.k == ji::FusedOp::K::kLoopBegin) {
+      EXPECT_EQ(op.b, pe::kJitCountLoopOps);
+    }
+  }
+}
+
+bool contains(const std::vector<std::uint8_t>& code,
+              std::initializer_list<std::uint8_t> seq) {
+  const std::vector<std::uint8_t> needle(seq);
+  return std::search(code.begin(), code.end(), needle.begin(), needle.end()) !=
+         code.end();
+}
+
+std::vector<std::uint32_t> a64_words(const std::vector<std::uint8_t>& code) {
+  std::vector<std::uint32_t> words(code.size() / 4);
+  std::memcpy(words.data(), code.data(), words.size() * 4);
+  return words;
+}
+
+TEST(JitEmit, CountLoopTakesTripCountFromRegister) {
+  ji::FusedProgram prog;
+  ASSERT_TRUE(ji::fuse_plan(count_plan(false, 2048), &prog));
+
+  // x86-64: the count arrives in r8 and is parked in r14, the loop
+  // counter ebx takes it, and "cmp ebx, 0; je" skips the body at 0.
+  const auto x86 = ji::emit_x86_64(prog);
+  EXPECT_TRUE(contains(x86, {0x45, 0x89, 0xC6})) << "mov r14d, r8d";
+  EXPECT_TRUE(contains(x86, {0x44, 0x89, 0xF3})) << "mov ebx, r14d";
+  EXPECT_TRUE(contains(x86, {0x81, 0xFB, 0x10, 0, 0, 0, 0x0F, 0x82}))
+      << "cmp ebx, 16; jb (k-wide trips, then the remainder)";
+  EXPECT_TRUE(contains(x86, {0x81, 0xFB, 0, 0, 0, 0, 0x0F, 0x84}))
+      << "cmp ebx, 0; je (count 0 skips the body)";
+
+  // aarch64: w13 = w4, then "cmp w13, #0; b.eq" skips the body.
+  const auto a64 = a64_words(ji::emit_aarch64(prog));
+  EXPECT_NE(std::find(a64.begin(), a64.end(), 0x2A0403EDu), a64.end())
+      << "mov w13, w4";
+  bool skip = false;
+  for (std::size_t i = 0; i + 1 < a64.size(); ++i) {
+    skip |= a64[i] == 0x710001BFu && (a64[i + 1] & 0xFF00001Fu) == 0x54000000u;
+  }
+  EXPECT_TRUE(skip) << "cmp w13, #0; b.eq";
+
+  // Exact stubs never read the count register.
+  ji::FusedProgram exact;
+  Plan plan = count_plan(false, 0);
+  plan.count_off = pe::kNoCount;
+  plan.in_slope = plan.words_slope = 0;
+  plan.instrs[1].a = 300;
+  plan.expected_in = 1204;
+  plan.instrs[0].imm = 1204;
+  plan.words_needed = 300;
+  ASSERT_TRUE(ji::fuse_plan(plan, &exact));
+  EXPECT_FALSE(exact.has_count);
+  EXPECT_FALSE(contains(ji::emit_x86_64(exact), {0x45, 0x89, 0xC6}));
+}
+
+// Counts around the k-wide unroll boundaries run the same on both tiers.
+TEST(JitCountLoop, RemainderBoundariesMatchExecutor) {
+  if (!jit_tier_live()) GTEST_SKIP() << "no native tier on this host";
+  constexpr std::uint32_t kCap = 40;
+  const Plan dec = count_plan(false, kCap);
+  const Plan enc = count_plan(true, kCap);
+  auto djit = pe::CompiledPlan::compile(dec);
+  auto ejit = pe::CompiledPlan::compile(enc);
+  ASSERT_NE(djit, nullptr);
+  ASSERT_NE(ejit, nullptr);
+  for (const std::uint32_t n : {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, kCap}) {
+    SCOPED_TRACE("count=" + std::to_string(n));
+    std::vector<std::uint32_t> words(n);
+    for (std::uint32_t i = 0; i < n; ++i) words[i] = 0x01020304u * (i + 1);
+    Bytes be(4 + 4 * n, 0xA5), bj(4 + 4 * n, 0x5A);
+    ASSERT_EQ(run_plan_encode(enc, words, 0, MutableByteSpan(be.data(),
+                                                             be.size()),
+                              nullptr, n),
+              ExecStatus::kOk);
+    ASSERT_EQ(ejit->run_encode(words, 0, MutableByteSpan(bj.data(), bj.size()),
+                               n),
+              ExecStatus::kOk);
+    EXPECT_EQ(be, bj);
+    EXPECT_EQ(load_be32(be.data()), n);
+
+    std::vector<std::uint32_t> we(n, 0x6B6B6B6Bu), wj(n, 0x6B6B6B6Bu);
+    ASSERT_EQ(run_plan_decode(dec, ByteSpan(be.data(), be.size()), 0, we),
+              ExecStatus::kOk);
+    ASSERT_EQ(djit->run_decode(ByteSpan(be.data(), be.size()), 0, wj),
+              ExecStatus::kOk);
+    EXPECT_EQ(we, words);
+    EXPECT_EQ(wj, words);
+  }
 }
 
 // ---- cross-arch emitters (pure byte generation) ------------------------

@@ -265,6 +265,93 @@ TEST(PlanVerifyReject, PadTailOverhang) {
   EXPECT_TRUE(pe::verify_plan(plan).ok());
 }
 
+// ---- class plans: proven for every count <= count_cap ------------------
+
+// A class decode plan over an int array: the count word at byte 0, one
+// kGetWord per element.  Verifies clean as built.
+Plan class_decode(std::uint32_t cap) {
+  Plan plan;
+  plan.is_encode = false;
+  plan.expected_in = 4;
+  plan.in_slope = 4;
+  plan.words_slope = 1;
+  plan.count_off = 0;
+  plan.count_cap = cap;
+  plan.instrs = {
+      {POp::kGuardLen, 0, 0, 0, 4},
+      {POp::kLoop, 0, pe::kCountTrip, 1,
+       pack_loop_strides(pe::LoopStrides{/*off=*/4, /*word=*/1})},
+      {POp::kGetWord, /*off=*/4, 0, 0, 0},
+  };
+  return plan;
+}
+
+// The loop strides 8 bytes per element but the plan declares 4 more
+// input bytes per element: in bounds at count 1 ([4, 8) of 8), past the
+// payload at the cap.
+TEST(PlanVerifyReject, ClassLoopOutrunsInputSlope) {
+  ASSERT_TRUE(pe::verify_plan(class_decode(100)).ok());
+  Plan plan = class_decode(100);
+  plan.instrs[1].imm = pack_loop_strides(pe::LoopStrides{8, 1});
+  expect_rejected(plan, VerifyCode::kOutOfBoundsIn);
+  EXPECT_NE(pe::verify_plan(plan).to_string().find("at count 100"),
+            std::string::npos);
+}
+
+// The wrappers read the count word after checking only the count-0
+// length, so it must lie inside the fixed prefix.
+TEST(PlanVerifyReject, ClassCountWordOutsidePrefix) {
+  Plan plan = class_decode(100);
+  plan.count_off = 4;  // [4, 8) is the first element, not the prefix
+  expect_rejected(plan, VerifyCode::kCountContract);
+
+  // A count loop needs a count word at all.
+  Plan exact = class_decode(100);
+  exact.count_off = pe::kNoCount;
+  exact.in_slope = exact.words_slope = 0;
+  expect_rejected(exact, VerifyCode::kCountContract);
+}
+
+// At the cap the last iteration's displacement passes 32 bits, though
+// every small count is fine.
+TEST(PlanVerifyReject, ClassCapOverflowsDisplacement) {
+  Plan plan = class_decode(0x10001);
+  plan.in_slope = 0x10000;
+  plan.instrs[1].imm = pack_loop_strides(pe::LoopStrides{0x10000, 1});
+  expect_rejected(plan, VerifyCode::kStrideOverflow);
+  plan.count_cap = 0x1000;
+  EXPECT_TRUE(pe::verify_plan(plan).ok()) << pe::verify_plan(plan).to_string();
+}
+
+// An encode plan whose element writes 4 of the 8 bytes it declares per
+// element leaves a gap from count 1 on.
+TEST(PlanVerifyReject, ClassEncodeGapAtSomeCount) {
+  Plan plan;
+  plan.is_encode = true;
+  plan.out_size = 4;
+  plan.out_slope = 8;
+  plan.words_slope = 1;
+  plan.count_off = 0;
+  plan.count_cap = 64;
+  plan.instrs = {
+      {POp::kLoop, 0, pe::kCountTrip, 1,
+       pack_loop_strides(pe::LoopStrides{/*off=*/8, /*word=*/1})},
+      {POp::kPutWord, /*off=*/4, 0, 0, 0},
+  };
+  expect_rejected(plan, VerifyCode::kIncompleteOutput);
+  // Count 0 alone (cap 0) writes only the count word: complete.
+  plan.count_cap = 0;
+  EXPECT_TRUE(pe::verify_plan(plan).ok());
+  // Strides matching the slope tile the output at every count.
+  plan.count_cap = 64;
+  plan.out_slope = 4;
+  plan.instrs[0].imm = pack_loop_strides(pe::LoopStrides{4, 1});
+  const VerifyResult res = pe::verify_plan(plan);
+  EXPECT_TRUE(res.ok()) << res.to_string();
+  EXPECT_TRUE(res.facts.coverage_exact);
+  EXPECT_EQ(res.facts.out_end, 4u + 4 * 64);  // taken at the cap
+}
+
 // ---- admit-everything: real specializer output -------------------------
 
 idl::ProcDef echo_proc() {
@@ -290,9 +377,11 @@ void expect_iface_verifies(const core::SpecializedInterface& iface,
     EXPECT_TRUE(res.ok()) << trace << " " << p.name << ": "
                           << res.to_string();
     if (p.plan.is_encode) {
-      // Specializer encode plans are exactly-covering by construction.
+      // Specializer encode plans are exactly-covering by construction
+      // (a class plan's facts are taken at its cap).
       EXPECT_TRUE(res.facts.coverage_exact) << trace << " " << p.name;
-      EXPECT_EQ(res.facts.out_end, p.plan.out_size) << trace << " " << p.name;
+      EXPECT_EQ(res.facts.out_end, p.plan.out_size_at(p.plan.count_cap))
+          << trace << " " << p.name;
     } else {
       // Decode plans always carry the §6.2 length contract.
       EXPECT_TRUE(res.facts.has_len_guard) << trace << " " << p.name;
@@ -378,6 +467,39 @@ TEST(PlanVerifyAdmit, RandomizedShapes) {
     ASSERT_TRUE(iface.is_ok()) << iface.status().to_string();
     expect_iface_verifies(*iface, "iter=" + std::to_string(iter));
   }
+  pe::set_verify_mode(pe::VerifyMode::kAdmit);
+}
+
+// Class plans of random tail-array types (the differential suite's
+// generator shape: optional fixed prefix, scalar / bool / hyper /
+// opaque / struct elements) verify clean for every count up to the cap.
+TEST(PlanVerifyAdmit, RandomizedClassPlans) {
+  pe::set_verify_mode(pe::VerifyMode::kParanoid);
+  Rng rng(0xC1A5'5EEDu);
+  int verified = 0;
+  for (int iter = 0; iter < 64 && verified < 24; ++iter) {
+    idl::TypePtr type =
+        idl::t_array_var(random_eligible_type(rng, 2, false),
+                         3 + rng.next_below(20000));
+    if (rng.next_below(2) == 0) {
+      type = idl::t_struct("prefixed",
+                           {{"p", random_eligible_type(rng, 1, false)},
+                            {"tail", type}});
+    }
+    if (pe::tail_array(*type) == nullptr) continue;  // not a class shape
+    idl::ProcDef proc;
+    proc.name = "verify";
+    proc.number = kProcNum;
+    proc.arg_type = type;
+    proc.res_type = type;
+    auto iface = core::SpecializedInterface::build(proc, kProg, kVers, {});
+    ASSERT_TRUE(iface.is_ok()) << idl::type_to_string(*type) << ": "
+                               << iface.status().to_string();
+    EXPECT_TRUE(iface->decode_args_plan().has_count());
+    expect_iface_verifies(*iface, idl::type_to_string(*type));
+    ++verified;
+  }
+  EXPECT_EQ(verified, 24);
   pe::set_verify_mode(pe::VerifyMode::kAdmit);
 }
 

@@ -329,17 +329,18 @@ TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
       static_cast<std::int64_t>(sizes.size()) * kCallsPerClient;
   const auto& sstats = service.stats();
   const auto cstats = cache.stats();
-  // One cache build per distinct shape; everything else served from it.
-  EXPECT_EQ(cstats.misses, static_cast<std::int64_t>(sizes.size()));
+  // The echo array ends its message, so one class build serves every
+  // length; everything else is served from it.
+  EXPECT_EQ(cstats.misses, 1);
   EXPECT_EQ(sstats.fast_path + sstats.generic_path, calls);
   EXPECT_GT(sstats.fast_path.load(), 0);
   EXPECT_GE(runtime.stats().udp_datagrams.load(), calls);
   EXPECT_GE(runtime.stats().udp_batches.load(), 1);
-  // Third-tier accounting: these shapes are all compilable, so every
+  // Third-tier accounting: the class plans all compile, so every
   // fast-path request was served by an interface with native stubs (or
   // none was, when the JIT is gated off).
   if (pe::jit_supported_host() && pe::jit_enabled_by_env()) {
-    EXPECT_EQ(cstats.jit_stubs, 4 * static_cast<std::int64_t>(sizes.size()));
+    EXPECT_EQ(cstats.jit_stubs, 4);
     EXPECT_EQ(sstats.jit_fast_path.load(), sstats.fast_path.load());
   } else {
     EXPECT_EQ(cstats.jit_stubs, 0);

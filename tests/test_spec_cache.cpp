@@ -1,6 +1,7 @@
 // SpecCache tests: memoization under concurrency (one build per key),
 // bounded LRU eviction + rebuild, byte-identical cached plans, negative
-// caching, CachedSpecService's hot shape bypassing the cache, and the
+// caching, CachedSpecService's hot shape bypassing the cache, one class
+// build serving every length of a tail-array procedure, and the
 // cache wired into the record-stream TcpServer via CachedSpecService
 // over real loopback TCP (the concurrent runtime's UDP and TCP paths are
 // covered in test_reactor.cpp).
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/service.h"
 #include "core/spec_cache.h"
 #include "core/spec_client.h"
@@ -18,8 +20,10 @@
 #include "idl/interp.h"
 #include "net/tcp.h"
 #include "rpc/client.h"
+#include "rpc/rpc_msg.h"
 #include "rpc/svc.h"
 #include "xdr/primitives.h"
+#include "xdr/xdrmem.h"
 
 namespace tempo::core {
 namespace {
@@ -360,6 +364,134 @@ TEST(CachedSpecService, HotShapeOutlivesEvictionWithoutRebuild) {
   EXPECT_EQ(service.stats().fast_path.load() - fast_before, 10);
   EXPECT_EQ(service.stats().generic_path.load(), 1);
   EXPECT_EQ(cache.stats().misses, 4);  // shape 10 never rebuilt
+}
+
+// ---- class plans: one build for every length ---------------------------
+
+Bytes generic_call(std::uint32_t xid, const idl::ProcDef& proc,
+                   const idl::Value& args) {
+  Bytes buf(rpc::kMaxUdpMessage);
+  xdr::XdrMem x(MutableByteSpan(buf.data(), buf.size()), xdr::XdrOp::kEncode);
+  rpc::CallHeader hdr;
+  hdr.xid = xid;
+  hdr.prog = kProg;
+  hdr.vers = kVers;
+  hdr.proc = proc.number;
+  EXPECT_TRUE(rpc::xdr_call_header(x, hdr));
+  EXPECT_TRUE(idl::encode_value(x, *proc.arg_type, args));
+  buf.resize(x.getpos());
+  return buf;
+}
+
+Bytes generic_reply(std::uint32_t xid, const idl::ProcDef& proc,
+                    const idl::Value& results) {
+  Bytes buf(rpc::kMaxUdpMessage);
+  xdr::XdrMem x(MutableByteSpan(buf.data(), buf.size()), xdr::XdrOp::kEncode);
+  rpc::ReplyHeader hdr;
+  hdr.xid = xid;
+  EXPECT_TRUE(rpc::xdr_reply_header(x, hdr));
+  EXPECT_TRUE(idl::encode_value(x, *proc.res_type, results));
+  buf.resize(x.getpos());
+  return buf;
+}
+
+// Dispatches one raw call in process and returns the raw reply.
+Bytes serve_raw(rpc::SvcRegistry& reg, const Bytes& request) {
+  Bytes reply(rpc::reply_capacity(request.size()));
+  const std::size_t len =
+      reg.handle_request(ByteSpan(request.data(), request.size()),
+                         MutableByteSpan(reply.data(), reply.size()));
+  reply.resize(len);
+  return reply;
+}
+
+idl::Value uint_list(std::uint32_t n, Rng& rng) {
+  idl::ValueList l;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    idl::Value v;
+    v.v = static_cast<std::int32_t>(rng.next_u32());
+    l.push_back(std::move(v));
+  }
+  idl::Value out;
+  out.v = std::move(l);
+  return out;
+}
+
+// The echo array ends its message, so one class plan serves every
+// length: the first call builds it, the other 49 lengths run it.
+TEST(CachedSpecService, ClassPlanServesEveryLengthWithOneBuild) {
+  SpecCache cache(16);
+  const auto proc = echo_array_proc();
+  rpc::SvcRegistry reg;
+  CachedSpecService service(cache, proc, kProg, kVers, echo_words());
+  service.install(reg);
+
+  Rng rng(50);
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    const std::uint32_t n = i * 37;  // 50 distinct lengths in [0, 1813]
+    const idl::Value value = uint_list(n, rng);
+    const Bytes reply = serve_raw(reg, generic_call(i + 1, proc, value));
+    ASSERT_EQ(reply, generic_reply(i + 1, proc, value)) << "length " << n;
+  }
+  EXPECT_EQ(cache.stats().misses, 1);
+  EXPECT_EQ(service.stats().generic_path.load(), 1);
+  EXPECT_EQ(service.stats().fast_path.load(), 49);
+  EXPECT_EQ(service.stats().plan_fallbacks.load(), 0);
+}
+
+// A fixed field after the variable array rules the class plan out: each
+// distinct count keeps its own per-count build.
+TEST(CachedSpecService, NonTailArrayKeepsPerCountPlans) {
+  idl::ProcDef proc;
+  proc.name = "FRAMED";
+  proc.number = 8;
+  proc.arg_type = idl::t_struct("framed",
+                                {{"hdr", idl::t_uint()},
+                                 {"body", idl::t_array_var(idl::t_int(), 128)},
+                                 {"tail", idl::t_opaque_fixed(5)}});
+  proc.res_type = proc.arg_type;
+  SpecCache cache(16);
+  rpc::SvcRegistry reg;
+  CachedSpecService service(cache, proc, kProg, kVers, echo_words());
+  service.install(reg);
+
+  Rng rng(8);
+  const std::vector<std::uint32_t> counts = {3, 7, 11, 3, 7, 20, 20, 3};
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    idl::Value hdr, tail;
+    hdr.v = rng.next_u32();
+    tail.v = Bytes{1, 2, 3, 4, 5};
+    idl::Value value;
+    value.v = idl::ValueList{hdr, uint_list(counts[i], rng), tail};
+    const auto xid = static_cast<std::uint32_t>(i + 1);
+    ASSERT_EQ(serve_raw(reg, generic_call(xid, proc, value)),
+              generic_reply(xid, proc, value));
+  }
+  EXPECT_EQ(cache.stats().misses, 4);  // distinct counts: 3, 7, 11, 20
+  EXPECT_EQ(service.stats().fast_path.load() +
+                service.stats().generic_path.load(),
+            static_cast<std::int64_t>(counts.size()));
+}
+
+// A request with bytes after its arguments fails the class plan's real
+// length guard and is still served, by the generic path.
+TEST(CachedSpecService, TrailingBytesTakeTheGenericPath) {
+  SpecCache cache(16);
+  const auto proc = echo_array_proc();
+  rpc::SvcRegistry reg;
+  CachedSpecService service(cache, proc, kProg, kVers, echo_words());
+  service.install(reg);
+
+  Rng rng(9);
+  const idl::Value value = uint_list(12, rng);
+  ASSERT_EQ(serve_raw(reg, generic_call(1, proc, value)),
+            generic_reply(1, proc, value));  // learns the class plan
+  Bytes padded = generic_call(2, proc, value);
+  padded.resize(padded.size() + 8, 0);
+  ASSERT_EQ(serve_raw(reg, padded), generic_reply(2, proc, value));
+  EXPECT_EQ(service.stats().plan_fallbacks.load(), 1);
+  EXPECT_EQ(service.stats().generic_path.load(), 2);
+  EXPECT_EQ(cache.stats().misses, 1);
 }
 
 // ---- the cache behind the record-stream server --------------------------

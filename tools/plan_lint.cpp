@@ -6,11 +6,16 @@
 // across the Table 1/2 array sizes — plus a handful of structured
 // shapes (bulk opaques inside kept loops, mixed structs, nested fixed
 // arrays) chosen to light up every verifier code path: word ops, bulk
-// ops with pad tails, kept loops with packed strides, guard chains.
+// ops with pad tails, kept loops with packed strides, guard chains —
+// and the class plans (counts left open) of the echo interface, a
+// struct-prefixed tail array and the KV replication SHIP procedure.
 //
-// Output, one line per plan:
+// Output, one line per plan; a class plan prints its affine contract
+// (declared size at count n, and the cap) next to the end its ops
+// reach at the cap:
 //
 //   ok     echo/n=1000 encode_call     out=4044/4044 slots=1001/1001 loops=1
+//   ok     echo/class  decode_args     in=8196/4+4n n<=2048 slots=2048/0+1n ...
 //   REJECT bulk/n=20   decode_args     [slot-overflow @12: ...]
 //
 // Exit status is the number of rejected plans (0 = corpus verifies
@@ -23,6 +28,7 @@
 
 #include "core/stubspec.h"
 #include "idl/types.h"
+#include "kv/repl.h"
 #include "pe/verify.h"
 
 namespace {
@@ -109,21 +115,57 @@ std::vector<LintCase> build_corpus() {
     cases.push_back(std::move(c));
   }
 
+  // Class plans: counts left open, one plan per entry point for every
+  // count up to the cap.
+  {
+    LintCase c;
+    c.label = "echo/class";
+    c.proc = make_proc("ECHO", 7, t_array_var(t_int(), 2048),
+                       t_array_var(t_int(), 2048));
+    cases.push_back(std::move(c));
+  }
+  {
+    LintCase c;
+    c.label = "prefixed/class";
+    TypePtr t = t_struct("p", {{"id", t_uint()},
+                               {"stamp", t_hyper()},
+                               {"data", t_array_var(t_uint(), 128)}});
+    c.proc = make_proc("PREFIXED", 11, t, t);
+    cases.push_back(std::move(c));
+  }
+  {
+    LintCase c;
+    c.label = "kv_ship/class";
+    c.proc = tempo::kv::ship_proc();
+    cases.push_back(std::move(c));
+  }
+
   return cases;
+}
+
+// "<declared>" for an exact plan, "<base>+<slope>n" for a class plan.
+std::string affine(std::uint32_t base, std::uint32_t slope, bool open) {
+  std::string s = std::to_string(base);
+  if (open) s += "+" + std::to_string(slope) + "n";
+  return s;
 }
 
 void print_facts(const tempo::pe::Plan& plan,
                  const tempo::pe::VerifyFacts& f) {
+  const bool open = plan.has_count();
   if (plan.is_encode) {
-    std::printf("out=%llu/%u%s", static_cast<unsigned long long>(f.out_end),
-                plan.out_size, f.coverage_exact ? "" : " (coverage~)");
+    std::printf("out=%llu/%s", static_cast<unsigned long long>(f.out_end),
+                affine(plan.out_size, plan.out_slope, open).c_str());
   } else {
-    std::printf("in=%llu/%u", static_cast<unsigned long long>(f.in_end),
-                plan.expected_in);
+    std::printf("in=%llu/%s", static_cast<unsigned long long>(f.in_end),
+                affine(plan.expected_in, plan.in_slope, open).c_str());
   }
-  std::printf(" slots=%llu/%u loops=%u",
+  if (open) std::printf(" n<=%u", plan.count_cap);
+  if (plan.is_encode && !f.coverage_exact) std::printf(" (coverage~)");
+  std::printf(" slots=%llu/%s loops=%u",
               static_cast<unsigned long long>(f.slot_end),
-              plan.words_needed, f.loop_count);
+              affine(plan.words_needed, plan.words_slope, open).c_str(),
+              f.loop_count);
   if (f.loop_count > 0) {
     std::printf(" max_iters=%u", f.max_loop_iters);
   }
