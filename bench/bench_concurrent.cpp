@@ -6,10 +6,9 @@
 //   * aggregate calls/sec at 1, 4 and 16 concurrent clients, for a
 //     1-worker and a 4-worker server — the scaling the dispatch loop
 //     buys once specialization is amortized through the cache;
-//   * the SpecCache books across the whole run: only the calls a
-//     point's fresh service serves before it has learned the shape take
-//     the generic path and look it up, and only the very first lookup
-//     builds.
+//   * the SpecCache books across the whole run: each point's fresh
+//     service resolves its interface once, at construction, and only
+//     the first point's lookup builds.
 //
 // Each handler invocation dwells for a configurable simulated backend
 // latency (default 200us, --dwell-us to change, 0 to disable).  That
@@ -454,7 +453,7 @@ void run(const Options& opt) {
   std::printf("%-10s %-10s %-10s %14s %10s %10s\n", "workers", "clients",
               "reactors", "calls/sec", "p50_us", "p99_us");
 
-  core::SpecCache cache(64);
+  core::SpecCache cache;
   std::vector<Point> points;
   for (int w : {1, 4}) {
     for (int c : {1, 4, 16}) {
@@ -470,11 +469,9 @@ void run(const Options& opt) {
                        static_cast<double>(cache_total.misses);
   const double hit_rate =
       total > 0 ? static_cast<double>(cache_total.hits) / total : 0.0;
-  std::printf("\nSpecCache: %lld hits, %lld misses, %lld evictions "
-              "(hit rate %.4f)\n",
+  std::printf("\nSpecCache: %lld hits, %lld misses (hit rate %.4f)\n",
               static_cast<long long>(cache_total.hits),
-              static_cast<long long>(cache_total.misses),
-              static_cast<long long>(cache_total.evictions), hit_rate);
+              static_cast<long long>(cache_total.misses), hit_rate);
 
   if (opt.open_loop > 0.0) {
     // Open loop: throughput is pinned at the offered rate by design, so
@@ -545,7 +542,6 @@ void run(const Options& opt) {
     jw.key_object("cache");
     jw.field("hits", cache_total.hits);
     jw.field("misses", cache_total.misses);
-    jw.field("evictions", cache_total.evictions);
     jw.field("hit_rate", hit_rate);
     jw.end_object();
     jw.end_object();

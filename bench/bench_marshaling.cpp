@@ -239,8 +239,8 @@ void run_json() {
   // A/B datapoint for the plan-verifier admission pass
   // (TEMPO_PLAN_VERIFY): the same spec build timed with the verifier
   // off vs paranoid.  The delta is the entire cost of the knob — the
-  // hit path (cache lookup -> exec_*) never calls the verifier, so
-  // there is no per-call number to measure.
+  // request path (exec_*) never calls the verifier, so there is no
+  // per-call number to measure.
   jw.key_object("verify_build_cost");
   {
     const std::uint32_t n = 1000;

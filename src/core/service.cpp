@@ -76,27 +76,39 @@ bool SpecializedService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   return handle_generic(in, out);
 }
 
+namespace {
+
+bool count_free(const idl::Type& t) {
+  const auto c = pe::count_params(t);
+  return c.is_ok() && *c == 0;
+}
+
+// The procedure's one interface, built from its types alone: empty
+// counts leave a tail-array side open (class plans) and pin a
+// count-free side (exact plans).  Null when the build fails or an open
+// result side would have no argument count to take.
+SpecHandle build_interface(SpecCache& cache, const idl::ProcDef& proc,
+                           std::uint32_t prog, std::uint32_t vers) {
+  auto iface = cache.get_or_build(proc, prog, vers, SpecConfig{});
+  if (!iface.is_ok()) return nullptr;
+  if ((*iface)->encode_results_plan().has_count() &&
+      !(*iface)->decode_args_plan().has_count()) {
+    return nullptr;
+  }
+  return *iface;
+}
+
+}  // namespace
+
 CachedSpecService::CachedSpecService(SpecCache& cache, idl::ProcDef proc,
                                      std::uint32_t prog, std::uint32_t vers,
-                                     DynamicWordHandler handler,
-                                     CountMapper res_counts_for,
-                                     SpecConfig base)
-    : cache_(cache),
-      proc_(std::move(proc)),
+                                     DynamicWordHandler handler)
+    : proc_(std::move(proc)),
       prog_(prog),
       vers_(vers),
       handler_(std::move(handler)),
-      res_counts_for_(std::move(res_counts_for)),
-      base_(std::move(base)) {
-  // Class plans apply when the arguments end in their one variable array
-  // and the results do too or hold none.
-  const auto count_free = [](const idl::Type& t) {
-    const auto c = pe::count_params(t);
-    return c.is_ok() && *c == 0;
-  };
-  class_key_ = pe::tail_array(*proc_.arg_type) != nullptr &&
-               (pe::tail_array(*proc_.res_type) != nullptr ||
-                count_free(*proc_.res_type));
+      res_counted_(!count_free(*proc_.res_type)),
+      iface_(build_interface(cache, proc_, prog, vers)) {
   // Tier attribution: every request lands in exactly one of jit / plan
   // / generic, so the three tier counters partition service.requests —
   // the acceptance test asserts the sum.  fast_path counts plans AND
@@ -111,8 +123,6 @@ CachedSpecService::CachedSpecService(SpecCache& cache, idl::ProcDef proc,
         snap.add_counter("service.fast_path", fast);
         snap.add_counter("service.generic_path", c(stats_.generic_path));
         snap.add_counter("service.plan_fallbacks", c(stats_.plan_fallbacks));
-        snap.add_counter("service.spec_unavailable",
-                         c(stats_.spec_unavailable));
         snap.add_counter("service.jit_fast_path", jit);
         snap.add_counter("service.tier_jit", jit);
         snap.add_counter("service.tier_plan", fast - jit);
@@ -125,14 +135,6 @@ void CachedSpecService::install(rpc::SvcRegistry& registry) {
                          [this](xdr::XdrStream& in, xdr::XdrStream& out) {
                            return handle(in, out);
                          });
-}
-
-SpecHandle CachedSpecService::hot() const {
-  return hot_.load(std::memory_order_acquire);
-}
-
-void CachedSpecService::set_hot(SpecHandle h) {
-  hot_.store(std::move(h), std::memory_order_release);
 }
 
 enum class CachedSpecService::PathResult : std::uint8_t {
@@ -169,11 +171,12 @@ bool encode_results(const SpecializedInterface& iface,
 
 }  // namespace
 
-// One call through the hot specialization.  Stage marks are no-ops
+// One call through the interface's plans.  Stage marks are no-ops
 // unless the runtime sampled this request (one thread_local null
-// check), so the unsampled hot path pays nothing.
-CachedSpecService::PathResult CachedSpecService::serve_hot(
-    const SpecializedInterface& h, xdr::XdrStream& in, xdr::XdrStream& out) {
+// check), so the unsampled fast path pays nothing.
+CachedSpecService::PathResult CachedSpecService::serve_fast(
+    xdr::XdrStream& in, xdr::XdrStream& out) {
+  const SpecializedInterface& h = *iface_;
   const pe::Plan& dplan = h.decode_args_plan();
   // A class plan sees the rest of the payload, so its length guard is
   // real; an exact plan claims exactly the length it expects.
@@ -194,20 +197,14 @@ CachedSpecService::PathResult CachedSpecService::serve_hot(
   common::trace_mark(common::TraceStage::kDecode);
 
   const std::span<const std::uint32_t> arg_counts =
-      dplan.has_count()
-          ? std::span<const std::uint32_t>(&n, 1)
-          : std::span<const std::uint32_t>(h.config().arg_counts);
-  // An open result side takes its count from the arguments'.
+      dplan.has_count() ? std::span<const std::uint32_t>(&n, 1)
+                        : std::span<const std::uint32_t>();
+  // An open result side takes its count from the arguments' (the
+  // constructor kept the interface only if the arguments have one).
   const bool open_res = h.encode_results_plan().has_count();
-  std::span<const std::uint32_t> res_counts = h.config().res_counts;
-  std::vector<std::uint32_t> mapped;
-  if (open_res) {
-    if (res_counts_for_) mapped = res_counts_for_(arg_counts);
-    res_counts = res_counts_for_ ? mapped : arg_counts;
-    if (res_counts.size() != 1) return PathResult::kHandlerFault;
-  }
-  std::vector<std::uint32_t> results(
-      static_cast<std::size_t>(h.res_slots(open_res ? res_counts[0] : 0)));
+  const std::span<const std::uint32_t> res_counts =
+      open_res ? arg_counts : std::span<const std::uint32_t>();
+  std::vector<std::uint32_t> results(static_cast<std::size_t>(h.res_slots(n)));
   if (!handler_(arg_counts, args, results)) return PathResult::kHandlerFault;
   common::trace_mark(common::TraceStage::kExecute);
   if (!encode_results(h, res_counts, results, out)) {
@@ -218,20 +215,16 @@ CachedSpecService::PathResult CachedSpecService::serve_hot(
 }
 
 bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
-  const std::size_t pos = in.getpos();
-
-  // The hot handle is the specialization the generic path last learned;
-  // the fast path runs it without consulting the cache, and the handle
-  // keeps the interface alive even after the cache evicts its entry.
-  const SpecHandle h = hot();
-  if (h) {
+  if (iface_) {
+    const std::size_t pos = in.getpos();
     common::trace_mark(common::TraceStage::kCacheLookup);
-    switch (serve_hot(*h, in, out)) {
+    switch (serve_fast(in, out)) {
       case PathResult::kServed:
         stats_.fast_path.fetch_add(1, std::memory_order_relaxed);
-        common::trace_set_tier(h->jit_active() ? common::TraceTier::kJit
-                                               : common::TraceTier::kPlan);
-        if (h->jit_active()) {
+        common::trace_set_tier(iface_->jit_active()
+                                   ? common::TraceTier::kJit
+                                   : common::TraceTier::kPlan);
+        if (iface_->jit_active()) {
           stats_.jit_fast_path.fetch_add(1, std::memory_order_relaxed);
         }
         return true;
@@ -245,10 +238,14 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
         break;
     }
   }
+  return serve_generic(in, out);
+}
 
-  // Generic path: interpret the value, learn its shape, resolve the
-  // specialization through the cache so the reply (and the next call of
-  // this shape) still runs residual code.
+// Generic path: interpret the value, run the handler on its flattened
+// words, and encode the reply through the interface when it covers the
+// count.
+bool CachedSpecService::serve_generic(xdr::XdrStream& in,
+                                      xdr::XdrStream& out) {
   stats_.generic_path.fetch_add(1, std::memory_order_relaxed);
   common::trace_set_tier(common::TraceTier::kGeneric);
   idl::Value value;
@@ -257,44 +254,28 @@ bool CachedSpecService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
   if (!pe::collect_counts(*proc_.arg_type, value, counts).is_ok()) {
     return false;
   }
-  common::trace_mark(common::TraceStage::kDecode);
-
-  const std::vector<std::uint32_t> res_counts =
-      res_counts_for_ ? res_counts_for_(counts) : counts;
-  SpecConfig cfg = base_;
-  if (!class_key_) {  // a class key leaves both sides' counts open
-    cfg.arg_counts = counts;
-    cfg.res_counts = res_counts;
-  }
-
-  auto iface = cache_.get_or_build(proc_, prog_, vers_, cfg);
-  if (!iface.is_ok()) {
-    stats_.spec_unavailable.fetch_add(1, std::memory_order_relaxed);
-  }
-  common::trace_mark(common::TraceStage::kCacheLookup);
-
   pe::Slots args;
   if (!pe::flatten_value(*proc_.arg_type, value, counts, args).is_ok()) {
     return false;
   }
-  // Flattening is decode-side work even though it runs after the cache
-  // lookup; accumulate it into the decode stage.
   common::trace_mark(common::TraceStage::kDecode);
+
+  const std::span<const std::uint32_t> res_counts =
+      res_counted_ ? std::span<const std::uint32_t>(counts)
+                   : std::span<const std::uint32_t>();
   auto res_slots = pe::type_slots(*proc_.res_type, res_counts);
   if (!res_slots.is_ok() || *res_slots < 0) return false;
   std::vector<std::uint32_t> results(static_cast<std::size_t>(*res_slots));
   if (!handler_(counts, args, results)) return false;
   common::trace_mark(common::TraceStage::kExecute);
 
-  if (iface.is_ok()) {
-    set_hot(*iface);
-    const bool ok = encode_results(**iface, res_counts, results, out);
-    common::trace_mark(common::TraceStage::kEncode);
-    return ok;
+  bool ok = false;
+  if (iface_) {
+    ok = encode_results(*iface_, res_counts, results, out);
+  } else {
+    auto rvalue = pe::unflatten_value(*proc_.res_type, res_counts, results);
+    ok = rvalue.is_ok() && idl::encode_value(out, *proc_.res_type, *rvalue);
   }
-  auto rvalue = pe::unflatten_value(*proc_.res_type, res_counts, results);
-  if (!rvalue.is_ok()) return false;
-  const bool ok = idl::encode_value(out, *proc_.res_type, *rvalue);
   common::trace_mark(common::TraceStage::kEncode);
   return ok;
 }

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 
 #include "common/metrics.h"
 #include "common/status.h"
@@ -58,32 +57,31 @@ class SpecializedService {
 };
 
 // Dynamic sibling of SpecializedService for servers whose clients send
-// *varying* array shapes.  Instead of one pinned specialization it
-// learns each request's shape and resolves its residual plans through a
-// SpecCache.
+// *varying* array lengths.  The constructor builds the procedure's one
+// interface from its types alone, as Tempo specialized before the
+// program ran: one get_or_build through `cache` with no pinned counts.
+// A side whose one variable array ends its message (pe::tail_array)
+// gets class plans serving every length up to a cap, a count-free side
+// gets exact plans, and the handler sees the wire count.  The interface
+// is kept when every open result side can take its count from an open
+// argument side; otherwise — or when the build fails, as for a variable
+// array followed by fixed fields — the procedure is served generically
+// for life.  No request builds, looks up or publishes anything.
 //
-// The constructor decides from the procedure's types whether class
-// plans apply: each side's one variable array ends its message
-// (pe::tail_array), or the side has none, and the arguments have one.
-// Then a single cache key with no counts serves every length up to the
-// cap, and the handler sees the wire count.  Otherwise every distinct
-// shape has its own key with its pinned counts.
-//
-//  * fast path — the most recently learned specialization for this proc
-//    (`hot_`) is tried first; its decode plan's guards (count words,
-//    lengths) verify the request actually has that shape, or for a
-//    class plan that the count fits the cap and the payload.  The cache
-//    is not consulted.  ExecStatus::kFallback rewinds the stream and
+//  * fast path — the interface's decode plan runs first; its guards
+//    (count word, cap, payload length) verify the request has the shape
+//    the plan serves.  ExecStatus::kFallback rewinds the stream and
 //    drops to the generic path (guarded specialization, paper §6.2).
-//  * generic path — the layered interpreter decodes the value, the
-//    actual counts are collected, and the matching specialization is
-//    fetched (or built once) from the cache so the *reply* is still
-//    encoded through a residual plan; it becomes `hot_`, so the *next*
-//    request of this shape hits the fast path.
+//  * generic path — the layered interpreter decodes the value and the
+//    handler runs on its flattened words; the reply still encodes
+//    through the interface when the interface covers its count.
+//
+// Result counts come from the types: a count-free result side has none,
+// an open one takes the argument counts (echo-style).
 //
 // Thread-safe: handle() may run on many worker threads concurrently
-// (see rpc::EventServerRuntime); stats are atomic and `hot_` is an
-// atomic<shared_ptr>, so the fast path takes no mutex.
+// (see rpc::EventServerRuntime); the interface is immutable after
+// construction and the stats are atomic, so no path takes a lock.
 class CachedSpecService {
  public:
   // Application logic on flattened slots, shape passed explicitly:
@@ -91,25 +89,19 @@ class CachedSpecService {
   using DynamicWordHandler = std::function<bool(
       std::span<const std::uint32_t> arg_counts,
       std::span<const std::uint32_t> args, std::span<std::uint32_t> results)>;
-  // Maps request arg counts to reply res counts (echo-style identity by
-  // default).
-  using CountMapper = std::function<std::vector<std::uint32_t>(
-      std::span<const std::uint32_t> arg_counts)>;
 
   struct Stats {
     std::atomic<std::int64_t> fast_path{0};     // served fully by plans
     std::atomic<std::int64_t> generic_path{0};  // interpreter decode
-    std::atomic<std::int64_t> plan_fallbacks{0};  // hot_ guard misses
-    std::atomic<std::int64_t> spec_unavailable{0};  // cache build failed
+    std::atomic<std::int64_t> plan_fallbacks{0};  // decode guard misses
     // Subset of fast_path served by an interface with compiled stubs
     // (the third tier; equals fast_path when the JIT is on and the
-    // shape compiled, 0 when TEMPO_PLAN_JIT is off).
+    // interface compiled, 0 when TEMPO_PLAN_JIT is off).
     std::atomic<std::int64_t> jit_fast_path{0};
   };
 
   CachedSpecService(SpecCache& cache, idl::ProcDef proc, std::uint32_t prog,
-                    std::uint32_t vers, DynamicWordHandler handler,
-                    CountMapper res_counts_for = {}, SpecConfig base = {});
+                    std::uint32_t vers, DynamicWordHandler handler);
 
   void install(rpc::SvcRegistry& registry);
 
@@ -119,22 +111,18 @@ class CachedSpecService {
   enum class PathResult : std::uint8_t;
 
   bool handle(xdr::XdrStream& in, xdr::XdrStream& out);
-  PathResult serve_hot(const SpecializedInterface& h, xdr::XdrStream& in,
-                       xdr::XdrStream& out);
-  SpecHandle hot() const;
-  void set_hot(SpecHandle h);
+  PathResult serve_fast(xdr::XdrStream& in, xdr::XdrStream& out);
+  bool serve_generic(xdr::XdrStream& in, xdr::XdrStream& out);
 
-  SpecCache& cache_;
-  idl::ProcDef proc_;
-  std::uint32_t prog_, vers_;
-  DynamicWordHandler handler_;
-  CountMapper res_counts_for_;
-  SpecConfig base_;  // unroll_factor / buffer_bytes template for cache keys
-  bool class_key_ = false;  // one count-free key serves every length
+  const idl::ProcDef proc_;
+  const std::uint32_t prog_, vers_;
+  const DynamicWordHandler handler_;
+  // The result side has variable arrays; it takes the argument counts.
+  const bool res_counted_;
+  // Built at construction; null when the procedure is served
+  // generically.
+  const SpecHandle iface_;
   Stats stats_;
-  // The only hot-shape slot: the fast path runs it, the generic path
-  // replaces it.
-  std::atomic<SpecHandle> hot_{nullptr};
   // Folds service.* (with the jit/plan/generic tier split) into the
   // global registry.  Last member so it unregisters before stats_ dies.
   common::MetricsRegistry::SourceHandle metrics_source_;

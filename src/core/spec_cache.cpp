@@ -11,9 +11,9 @@ inline void hash_combine(std::size_t& seed, std::size_t v) {
 }
 
 // Paranoid-mode (TEMPO_PLAN_VERIFY=2) re-verification of all four plans
-// before a built entry is published.  The plans were verified at build;
+// before a built entry is handed out.  The plans were verified at build;
 // this tripwire exists so a plan corrupted between build and publish
-// can never reach the hit path.  Ok() in every other mode.
+// can never reach a caller.  Ok() in every other mode.
 Status paranoid_reverify(const SpecializedInterface& iface) {
   if (pe::verify_mode() != pe::VerifyMode::kParanoid) return Status::ok();
   const struct {
@@ -50,37 +50,20 @@ std::size_t SpecKeyHash::operator()(const SpecKey& k) const {
   return seed;
 }
 
-SpecCache::SpecCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
+SpecCache::SpecCache() {
   // stats() and size() take the lock themselves, so the callback stays
-  // safe against concurrent get_or_build traffic.  Counters sum across
-  // multiple live caches; the gauges do too (total slots vs. used).
+  // safe against a concurrent get_or_build.  Counters and the gauge sum
+  // across multiple live caches.
   metrics_source_ =
       common::metrics().add_source([this](common::MetricsSnapshot& snap) {
         const SpecCacheStats st = stats();
         snap.add_counter("spec_cache.hits", st.hits);
         snap.add_counter("spec_cache.misses", st.misses);
-        snap.add_counter("spec_cache.evictions", st.evictions);
         snap.add_counter("spec_cache.build_failures", st.build_failures);
         snap.add_counter("spec_cache.jit_stubs", st.jit_stubs);
         snap.add_counter("spec_cache.verify_rejects", st.verify_rejects);
         snap.add_gauge("spec_cache.size", static_cast<std::int64_t>(size()));
-        snap.add_gauge("spec_cache.capacity",
-                       static_cast<std::int64_t>(capacity_));
       });
-}
-
-void SpecCache::insert_lru_locked(const std::shared_ptr<Entry>& e,
-                                  const SpecKey& key) {
-  lru_.push_front(key);
-  e->lru_it = lru_.begin();
-  while (lru_.size() > capacity_) {
-    const SpecKey& victim = lru_.back();
-    auto it = map_.find(victim);
-    if (it != map_.end()) map_.erase(it);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
 }
 
 Result<SpecHandle> SpecCache::get_or_build(const idl::ProcDef& proc,
@@ -95,75 +78,36 @@ Result<SpecHandle> SpecCache::get_or_build(const idl::ProcDef& proc,
               config.unroll_factor,
               config.buffer_bytes};
 
-  std::shared_ptr<Entry> entry;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      entry = it->second;
-      ++stats_.hits;
-      if (!entry->ready) {
-        // Another thread is building this key: wait, do not rebuild.
-        ready_cv_.wait(lock, [&] { return entry->ready; });
-        // The entry may have been evicted from the map while we waited;
-        // the shared_ptr keeps the payload valid either way.
-        it = map_.find(key);
-      }
-      // A ready entry still in the map is on the LRU list.  Move its
-      // node to the front in place: no allocation and no key copy under
-      // the lock.  Negative entries are touched too: a hot ineligible
-      // shape must stay cached, or its eviction would let repeated
-      // requests re-run the pipeline.
-      if (it != map_.end() && it->second == entry) {
-        lru_.splice(lru_.begin(), lru_, entry->lru_it);
-      }
-      if (entry->iface) return entry->iface;
-      return entry->error;
-    }
-    // Miss: claim the build while holding the lock.
-    ++stats_.misses;
-    entry = std::make_shared<Entry>();
-    map_.emplace(key, entry);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = map_.try_emplace(std::move(key));
+  Entry& entry = it->second;
+  if (!inserted) {
+    ++stats_.hits;
+    if (entry.iface) return entry.iface;
+    return entry.error;
   }
 
-  // Build outside the lock — this is the expensive pipeline run.
+  ++stats_.misses;
   auto built = SpecializedInterface::build(proc, prog, vers, config);
-
-  // Ready-entry publish boundary: in paranoid mode, re-verify outside
-  // the lock before the entry becomes visible to other threads.
-  Status admit = Status::ok();
-  if (built.is_ok()) admit = paranoid_reverify(*built);
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (built.is_ok() && admit.is_ok()) {
-      entry->iface =
-          std::make_shared<const SpecializedInterface>(std::move(*built));
-      stats_.jit_stubs += entry->iface->jit_stub_count();
-      insert_lru_locked(entry, key);
-    } else {
-      entry->error = built.is_ok() ? admit : built.status();
-      ++stats_.build_failures;
-      // The admission pass reports verifier rejections as kOutOfRange
-      // (see pe::verify_admit); account them separately — a nonzero
-      // spec_cache.verify_rejects means the specializer emitted a plan
-      // whose declared contract its own ops violate, which is a bug,
-      // not a merely-ineligible shape.
-      if (entry->error.code() == StatusCode::kOutOfRange) {
-        ++stats_.verify_rejects;
-      }
-      // Negative entries take an LRU slot too: repeated requests for an
-      // ineligible shape must not re-run the pipeline, but an adversary
-      // minting distinct ineligible keys must not grow the map
-      // unboundedly either.
-      insert_lru_locked(entry, key);
-    }
-    entry->ready = true;
+  // In paranoid mode a built interface is re-verified before the table
+  // hands it out.
+  const Status admit =
+      built.is_ok() ? paranoid_reverify(*built) : built.status();
+  if (admit.is_ok()) {
+    entry.iface =
+        std::make_shared<const SpecializedInterface>(std::move(*built));
+    stats_.jit_stubs += entry.iface->jit_stub_count();
+    return entry.iface;
   }
-  ready_cv_.notify_all();
-
-  if (entry->iface) return entry->iface;
-  return entry->error;
+  entry.error = admit;
+  ++stats_.build_failures;
+  // The admission pass reports verifier rejections as kOutOfRange (see
+  // pe::verify_admit); account them separately — a nonzero
+  // spec_cache.verify_rejects means the specializer emitted a plan whose
+  // declared contract its own ops violate, which is a bug, not a merely
+  // ineligible type.
+  if (admit.code() == StatusCode::kOutOfRange) ++stats_.verify_rejects;
+  return entry.error;
 }
 
 SpecCacheStats SpecCache::stats() const {
@@ -173,7 +117,7 @@ SpecCacheStats SpecCache::stats() const {
 
 std::size_t SpecCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size();
+  return map_.size();
 }
 
 }  // namespace tempo::core

@@ -161,8 +161,8 @@ Result<SpecializedInterface> SpecializedInterface::build(
   // Admission pass (TEMPO_PLAN_VERIFY, always-on in debug): every plan
   // is statically verified against its declared contract before it — or
   // a stub compiled from it — can ever run.  A rejection fails the
-  // whole build with the verifier's diagnostics (negative-cached by
-  // SpecCache like any other ineligible shape); callers keep the
+  // whole build with the verifier's diagnostics (remembered by
+  // SpecCache like any other ineligible type); callers keep the
   // generic path, which is exactly the guarded-specialization contract.
   TEMPO_RETURN_IF_ERROR(pe::verify_admit(out.encode_call_, "encode_call"));
   TEMPO_RETURN_IF_ERROR(pe::verify_admit(out.decode_reply_, "decode_reply"));

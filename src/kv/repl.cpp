@@ -139,7 +139,7 @@ Result<ShipBatch> decode_ship_words(std::span<const std::uint32_t> words) {
 
 // ---------------------------------------------------------------- sink
 
-KvReplicaSink::KvReplicaSink(std::uint32_t shards) : cache_(32) {
+KvReplicaSink::KvReplicaSink(std::uint32_t shards) {
   if (shards == 0) shards = 1;
   stores_.reserve(shards);
   apply_mu_.reserve(shards);
@@ -153,10 +153,6 @@ KvReplicaSink::KvReplicaSink(std::uint32_t shards) : cache_(32) {
              std::span<const std::uint32_t> args,
              std::span<std::uint32_t> results) {
         return handle(arg_counts, args, results);
-      },
-      // Fixed-shape ack: no variable result counts to map.
-      [](std::span<const std::uint32_t>) {
-        return std::vector<std::uint32_t>{};
       });
   metrics_source_ =
       common::metrics().add_source([this](common::MetricsSnapshot& s) {

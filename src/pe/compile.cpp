@@ -5,12 +5,11 @@
 //                   Pure data transformation, byte-exact semantics match
 //                   with the plan executor is decided HERE.
 //   emit_x86_64()   FusedProgram -> machine code bytes.  Pure byte
-//   emit_aarch64()  generation; both emitters build on every host so the
-//                   byte-level tests run everywhere, and the host arch
-//                   only selects which one gets executed.
+//                   generation, so the byte-level tests run on any
+//                   build host; only an x86-64 host executes it.
 //   ExecMem         W^X page handling (mmap RW, copy, mprotect RX).
 //
-// Calling conventions of the generated stubs (SysV / AAPCS64):
+// Calling conventions of the generated stubs (SysV):
 //   encode: uint32_t fn(const uint32_t* words, uint32_t xid,
 //                       uint8_t* out, const uint8_t* tmpl, uint32_t count)
 //   decode: uint32_t fn(const uint8_t* in, uint64_t inlen,
@@ -277,7 +276,7 @@ bool fuse_plan(const Plan& plan, FusedProgram* prog, std::string* why) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage 2a: x86-64 emitter
+// Stage 2: x86-64 emitter
 // ---------------------------------------------------------------------------
 //
 // Register plan (SysV args are moved out of the rep-movsb registers up
@@ -724,386 +723,6 @@ std::vector<std::uint8_t> emit_x86_64(const FusedProgram& p) {
   return std::move(a.code);
 }
 
-// ---------------------------------------------------------------------------
-// Stage 2b: aarch64 emitter
-// ---------------------------------------------------------------------------
-//
-// Args stay where AAPCS64 puts them (we never call out):
-//   encode: x0 = words, w1 = xid, x2 = out,   x3 = tmpl, w4 = count
-//   decode: x0 = in,    x1 = inlen, w2 = xid, x3 = words, w4 = count
-// x9/x11 hold materialized addresses, x10 data, w12 copy counters;
-// loops use w13 (counter), x14 (buffer disp), x15 (word disp).  All of
-// x9-x15 are temporaries, so there is no prologue.  Addresses are
-// always built with explicit adds and accessed at offset 0 — no scaled
-// immediate offsets to get subtly wrong.
-
-namespace {
-
-class A64 {
- public:
-  std::vector<std::uint8_t> code;
-
-  std::size_t pos() const { return code.size(); }
-  void ins(std::uint32_t w) {
-    for (int i = 0; i < 4; ++i) {
-      code.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-    }
-  }
-
-  void movz_w(int rd, std::uint16_t imm, int hw) {
-    ins(0x52800000u | (static_cast<std::uint32_t>(hw) << 21) |
-        (static_cast<std::uint32_t>(imm) << 5) | static_cast<std::uint32_t>(rd));
-  }
-  void movk_w(int rd, std::uint16_t imm, int hw) {
-    ins(0x72800000u | (static_cast<std::uint32_t>(hw) << 21) |
-        (static_cast<std::uint32_t>(imm) << 5) | static_cast<std::uint32_t>(rd));
-  }
-  void movz_x(int rd, std::uint16_t imm, int hw) {
-    ins(0xD2800000u | (static_cast<std::uint32_t>(hw) << 21) |
-        (static_cast<std::uint32_t>(imm) << 5) | static_cast<std::uint32_t>(rd));
-  }
-  void movk_x(int rd, std::uint16_t imm, int hw) {
-    ins(0xF2800000u | (static_cast<std::uint32_t>(hw) << 21) |
-        (static_cast<std::uint32_t>(imm) << 5) | static_cast<std::uint32_t>(rd));
-  }
-  void mov_imm_w(int rd, std::uint32_t v) {
-    movz_w(rd, static_cast<std::uint16_t>(v), 0);
-    if (v >> 16) movk_w(rd, static_cast<std::uint16_t>(v >> 16), 1);
-  }
-  void mov_imm_x(int rd, std::uint64_t v) {
-    movz_x(rd, static_cast<std::uint16_t>(v), 0);
-    for (int hw = 1; hw < 4; ++hw) {
-      const auto part = static_cast<std::uint16_t>(v >> (16 * hw));
-      if (part) movk_x(rd, part, hw);
-    }
-  }
-  void add_x(int rd, int rn, int rm) {
-    ins(0x8B000000u | (static_cast<std::uint32_t>(rm) << 16) |
-        (static_cast<std::uint32_t>(rn) << 5) | static_cast<std::uint32_t>(rd));
-  }
-  void mov_w(int rd, int rm) {  // orr wd, wzr, wm
-    ins(0x2A0003E0u | (static_cast<std::uint32_t>(rm) << 16) |
-        static_cast<std::uint32_t>(rd));
-  }
-  // Loads/stores at [Xn] (unsigned-immediate form, offset 0).
-  void ldr_w0(int rt, int rn) {
-    ins(0xB9400000u | (static_cast<std::uint32_t>(rn) << 5) |
-        static_cast<std::uint32_t>(rt));
-  }
-  void str_w0(int rt, int rn) {
-    ins(0xB9000000u | (static_cast<std::uint32_t>(rn) << 5) |
-        static_cast<std::uint32_t>(rt));
-  }
-  // Post-indexed forms advance the address register, which is how the
-  // copy loops and pad stores walk their cursors.
-  void ldst_post(std::uint32_t base_opc, int rt, int rn, int imm) {
-    ins(base_opc | ((static_cast<std::uint32_t>(imm) & 0x1FF) << 12) |
-        (static_cast<std::uint32_t>(rn) << 5) | static_cast<std::uint32_t>(rt));
-  }
-  void ldr_x_post(int rt, int rn, int imm) { ldst_post(0xF8400400u, rt, rn, imm); }
-  void str_x_post(int rt, int rn, int imm) { ldst_post(0xF8000400u, rt, rn, imm); }
-  void ldr_w_post(int rt, int rn, int imm) { ldst_post(0xB8400400u, rt, rn, imm); }
-  void str_w_post(int rt, int rn, int imm) { ldst_post(0xB8000400u, rt, rn, imm); }
-  void ldrh_post(int rt, int rn, int imm) { ldst_post(0x78400400u, rt, rn, imm); }
-  void strh_post(int rt, int rn, int imm) { ldst_post(0x78000400u, rt, rn, imm); }
-  void ldrb_post(int rt, int rn, int imm) { ldst_post(0x38400400u, rt, rn, imm); }
-  void strb_post(int rt, int rn, int imm) { ldst_post(0x38000400u, rt, rn, imm); }
-  void rev_w(int rd, int rn) {
-    ins(0x5AC00800u | (static_cast<std::uint32_t>(rn) << 5) |
-        static_cast<std::uint32_t>(rd));
-  }
-  void cmp_w(int rn, int rm) {  // subs wzr, wn, wm
-    ins(0x6B00001Fu | (static_cast<std::uint32_t>(rm) << 16) |
-        (static_cast<std::uint32_t>(rn) << 5));
-  }
-  void cmp_x(int rn, int rm) {
-    ins(0xEB00001Fu | (static_cast<std::uint32_t>(rm) << 16) |
-        (static_cast<std::uint32_t>(rn) << 5));
-  }
-  void cmp_w_imm(int rn, std::uint32_t imm12) {  // subs wzr, wn, #imm
-    ins(0x7100001Fu | (imm12 << 10) | (static_cast<std::uint32_t>(rn) << 5));
-  }
-  void subs_w_imm(int rd, int rn, std::uint32_t imm12) {
-    ins(0x71000000u | (imm12 << 10) | (static_cast<std::uint32_t>(rn) << 5) |
-        static_cast<std::uint32_t>(rd));
-  }
-  std::size_t bcond_fwd(int cond) {
-    const std::size_t at = pos();
-    ins(0x54000000u | static_cast<std::uint32_t>(cond));
-    return at;
-  }
-  void bcond_back(int cond, std::size_t target) {
-    const auto delta = static_cast<std::int64_t>(target - pos()) / 4;
-    ins(0x54000000u | ((static_cast<std::uint32_t>(delta) & 0x7FFFF) << 5) |
-        static_cast<std::uint32_t>(cond));
-  }
-  std::size_t b_fwd() {
-    const std::size_t at = pos();
-    ins(0x14000000u);
-    return at;
-  }
-  void patch_bcond(std::size_t at, std::size_t target) {
-    const auto delta =
-        static_cast<std::uint32_t>((target - at) / 4) & 0x7FFFFu;
-    std::uint32_t w = 0;
-    for (int i = 0; i < 4; ++i) {
-      w |= static_cast<std::uint32_t>(code[at + i]) << (8 * i);
-    }
-    w |= delta << 5;
-    for (int i = 0; i < 4; ++i) {
-      code[at + i] = static_cast<std::uint8_t>(w >> (8 * i));
-    }
-  }
-  void patch_b(std::size_t at, std::size_t target) {
-    const auto delta =
-        static_cast<std::uint32_t>((target - at) / 4) & 0x3FFFFFFu;
-    std::uint32_t w = 0;
-    for (int i = 0; i < 4; ++i) {
-      w |= static_cast<std::uint32_t>(code[at + i]) << (8 * i);
-    }
-    w |= delta;
-    for (int i = 0; i < 4; ++i) {
-      code[at + i] = static_cast<std::uint8_t>(w >> (8 * i));
-    }
-  }
-  void ret() { ins(0xD65F03C0u); }
-};
-
-constexpr int kCondEq = 0;
-constexpr int kCondNe = 1;
-constexpr int kCondHs = 2;  // unsigned >=
-constexpr int kCondLo = 3;  // unsigned <
-constexpr int kCondHi = 8;
-constexpr int kWzr = 31;
-
-// Materialize base + off (+ disp register) into `dst`.
-void a64_addr(A64& a, int dst, int base, std::uint32_t off, int disp_reg) {
-  a.mov_imm_x(dst, off);
-  a.add_x(dst, base, dst);
-  if (disp_reg >= 0) a.add_x(dst, dst, disp_reg);
-}
-
-// Copy len bytes from the address in x9 to the address in x11; both
-// registers end past the copied range (post-indexed walk).
-void a64_copy(A64& a, std::uint32_t len) {
-  const std::uint32_t n8 = len / 8;
-  if (n8 > 4) {
-    a.mov_imm_w(12, n8);
-    const std::size_t top = a.pos();
-    a.ldr_x_post(10, 9, 8);
-    a.str_x_post(10, 11, 8);
-    a.subs_w_imm(12, 12, 1);
-    a.bcond_back(kCondNe, top);
-  } else {
-    for (std::uint32_t i = 0; i < n8; ++i) {
-      a.ldr_x_post(10, 9, 8);
-      a.str_x_post(10, 11, 8);
-    }
-  }
-  if (len & 4) {
-    a.ldr_w_post(10, 9, 4);
-    a.str_w_post(10, 11, 4);
-  }
-  if (len & 2) {
-    a.ldrh_post(10, 9, 2);
-    a.strh_post(10, 11, 2);
-  }
-  if (len & 1) {
-    a.ldrb_post(10, 9, 1);
-    a.strb_post(10, 11, 1);
-  }
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> emit_aarch64(const FusedProgram& p) {
-  A64 a;
-  // Encode: x0 = words, w1 = xid, x2 = out, x3 = tmpl, w4 = count.
-  // Decode: x0 = in, x1 = inlen, w2 = xid, x3 = words, w4 = count.
-  const int buf = p.is_encode ? 2 : 0;
-  const int words = p.is_encode ? 0 : 3;
-  const int xid = p.is_encode ? 1 : 2;
-
-  enum Target { kFb = 0, kRx = 1 };
-  std::vector<std::pair<std::size_t, Target>> fixups;
-
-  bool in_loop = false;
-  std::size_t loop_top = 0;
-  LoopStrides loop_s;
-  const auto bdisp = [&]() { return in_loop ? 14 : -1; };
-  const auto wdisp = [&]() { return in_loop ? 15 : -1; };
-
-  // One fused op; `doff` / `dword` shift its buffer / word-array
-  // offsets (the unrolled copies of a count loop body).
-  auto emit_op = [&](const FusedOp& op, std::uint32_t doff,
-                     std::uint32_t dword) {
-    switch (op.k) {
-      case K::kCopyTmpl:
-        a64_addr(a, 9, 3, op.off, -1);  // template: iteration-0 image
-        a64_addr(a, 11, buf, op.off + doff, bdisp());
-        a64_copy(a, op.b);
-        break;
-      case K::kStoreWord:
-        a64_addr(a, 9, words, op.a + dword, wdisp());
-        a.ldr_w0(10, 9);
-        a.rev_w(10, 10);
-        a64_addr(a, 11, buf, op.off + doff, bdisp());
-        a.str_w0(10, 11);
-        break;
-      case K::kStoreXid:
-        a.mov_w(10, xid);
-        a.rev_w(10, 10);
-        a64_addr(a, 11, buf, op.off + doff, bdisp());
-        a.str_w0(10, 11);
-        break;
-      case K::kCopyArgBytes: {
-        a64_addr(a, 9, words, op.a + dword, wdisp());
-        a64_addr(a, 11, buf, op.off + doff, bdisp());
-        a64_copy(a, op.b);
-        const auto padded = static_cast<std::uint32_t>(xdr_pad4(op.b));
-        for (std::uint32_t i = op.b; i < padded; ++i) {
-          a.strb_post(kWzr, 11, 1);
-        }
-        break;
-      }
-      case K::kLoadWord:
-        a64_addr(a, 9, buf, op.off + doff, bdisp());
-        a.ldr_w0(10, 9);
-        a.rev_w(10, 10);
-        a64_addr(a, 11, words, op.a + dword, wdisp());
-        a.str_w0(10, 11);
-        break;
-      case K::kSetWord:
-        a.mov_imm_w(10, static_cast<std::uint32_t>(op.imm));
-        a64_addr(a, 11, words, op.a + dword, wdisp());
-        a.str_w0(10, 11);
-        break;
-      case K::kCopyResBytes: {
-        a64_addr(a, 9, buf, op.off + doff, bdisp());
-        a64_addr(a, 11, words, op.a + dword, wdisp());
-        a64_copy(a, op.b);
-        const auto padded = static_cast<std::uint32_t>(xdr_pad4(op.b));
-        for (std::uint32_t i = op.b; i < padded; ++i) {
-          a.strb_post(kWzr, 11, 1);
-        }
-        break;
-      }
-      case K::kGuardEq:
-        a64_addr(a, 9, buf, op.off + doff, bdisp());
-        a.ldr_w0(10, 9);
-        a.rev_w(10, 10);
-        a.mov_imm_w(12, static_cast<std::uint32_t>(op.imm));
-        a.cmp_w(10, 12);
-        fixups.emplace_back(a.bcond_fwd(kCondNe), kFb);
-        break;
-      case K::kGuardXid:
-        a64_addr(a, 9, buf, op.off + doff, bdisp());
-        a.ldr_w0(10, 9);
-        a.rev_w(10, 10);
-        a.cmp_w(10, xid);
-        fixups.emplace_back(a.bcond_fwd(kCondNe), kRx);
-        break;
-      case K::kGuardBool:
-        a64_addr(a, 9, buf, op.off + doff, bdisp());
-        a.ldr_w0(10, 9);
-        a.rev_w(10, 10);
-        a.cmp_w_imm(10, 1);
-        fixups.emplace_back(a.bcond_fwd(kCondHi), kFb);
-        break;
-      case K::kGuardLen:
-        a.mov_imm_x(10, op.imm);
-        a.cmp_x(1, 10);  // x1 = inlen
-        fixups.emplace_back(a.bcond_fwd(kCondNe), kFb);
-        break;
-      case K::kLoopBegin:
-      case K::kLoopEnd:
-        break;  // handled by the walk below
-    }
-  };
-
-  // Advances the displacement registers by `times` iterations.
-  auto step = [&](std::uint32_t times) {
-    a.mov_imm_x(9, std::uint64_t{loop_s.off_stride} * times);
-    a.add_x(14, 14, 9);
-    a.mov_imm_x(9, std::uint64_t{loop_s.word_stride} * 4 * times);
-    a.add_x(15, 15, 9);
-  };
-
-  for (std::size_t i = 0; i < p.ops.size(); ++i) {
-    const FusedOp& op = p.ops[i];
-    if (op.k == K::kLoopBegin && op.a == kCountTrip) {
-      // Count loop: w13 = count; k-wide trips, then a remainder loop;
-      // count 0 skips the body.
-      std::size_t end = i + 1;
-      while (p.ops[end].k != K::kLoopEnd) ++end;
-      const std::uint32_t k = op.b;  // <= count_cap, fits cmp's imm12
-      loop_s = unpack_loop_strides(op.imm);
-      in_loop = true;
-      a.mov_w(13, 4);
-      a.mov_imm_x(14, 0);
-      a.mov_imm_x(15, 0);
-      if (k > 1) {
-        a.cmp_w_imm(13, k);
-        const std::size_t to_rem = a.bcond_fwd(kCondLo);
-        const std::size_t top = a.pos();
-        for (std::uint32_t u = 0; u < k; ++u) {
-          for (std::size_t j = i + 1; j < end; ++j) {
-            emit_op(p.ops[j], loop_s.off_stride * u,
-                    loop_s.word_stride * 4 * u);
-          }
-        }
-        step(k);
-        a.subs_w_imm(13, 13, k);
-        a.cmp_w_imm(13, k);
-        a.bcond_back(kCondHs, top);
-        a.patch_bcond(to_rem, a.pos());
-      }
-      a.cmp_w_imm(13, 0);
-      const std::size_t to_done = a.bcond_fwd(kCondEq);
-      const std::size_t top = a.pos();
-      for (std::size_t j = i + 1; j < end; ++j) emit_op(p.ops[j], 0, 0);
-      step(1);
-      a.subs_w_imm(13, 13, 1);
-      a.bcond_back(kCondNe, top);
-      a.patch_bcond(to_done, a.pos());
-      in_loop = false;
-      i = end;
-      continue;
-    }
-    switch (op.k) {
-      case K::kLoopBegin:
-        a.mov_imm_w(13, op.a);
-        a.mov_imm_x(14, 0);
-        a.mov_imm_x(15, 0);
-        loop_top = a.pos();
-        loop_s = unpack_loop_strides(op.imm);
-        in_loop = true;
-        break;
-      case K::kLoopEnd:
-        step(1);
-        a.subs_w_imm(13, 13, 1);
-        a.bcond_back(kCondNe, loop_top);
-        in_loop = false;
-        break;
-      default:
-        emit_op(op, 0, 0);
-    }
-  }
-
-  a.mov_imm_w(0, 0);  // ExecStatus::kOk
-  a.ret();
-  const std::size_t fb_at = a.pos();
-  a.mov_imm_w(0, 1);  // ExecStatus::kFallback
-  a.ret();
-  const std::size_t rx_at = a.pos();
-  a.mov_imm_w(0, 2);  // ExecStatus::kRetryXid
-  a.ret();
-  for (const auto& [at, t] : fixups) {
-    a.patch_bcond(at, t == kFb ? fb_at : rx_at);
-  }
-  return std::move(a.code);
-}
-
 }  // namespace jit_internal
 
 // ---------------------------------------------------------------------------
@@ -1139,8 +758,6 @@ struct CompiledPlan::ExecMem {
       ::munmap(p, len);
       return nullptr;
     }
-    __builtin___clear_cache(static_cast<char*>(p),
-                            static_cast<char*>(p) + code.size());
     auto mem = std::make_unique<ExecMem>();
     mem->base = p;
     mem->len = len;
@@ -1164,7 +781,7 @@ using DecodeFn = std::uint32_t (*)(const std::uint8_t*, std::uint64_t,
 }  // namespace
 
 bool jit_supported_host() {
-#if (defined(__x86_64__) || defined(__aarch64__)) && TEMPO_JIT_HAVE_MMAP
+#if defined(__x86_64__) && TEMPO_JIT_HAVE_MMAP
   return true;
 #else
   return false;
@@ -1188,14 +805,7 @@ std::unique_ptr<CompiledPlan> CompiledPlan::compile(const Plan& plan) {
   if (!jit_supported_host()) return nullptr;
   jit_internal::FusedProgram prog;
   if (!jit_internal::fuse_plan(plan, &prog)) return nullptr;
-  std::vector<std::uint8_t> code;
-#if defined(__x86_64__)
-  code = jit_internal::emit_x86_64(prog);
-#elif defined(__aarch64__)
-  code = jit_internal::emit_aarch64(prog);
-#else
-  return nullptr;
-#endif
+  const std::vector<std::uint8_t> code = jit_internal::emit_x86_64(prog);
   auto mem = ExecMem::create(code);
   if (mem == nullptr) return nullptr;
   auto cp = std::unique_ptr<CompiledPlan>(new CompiledPlan());

@@ -29,8 +29,8 @@
 //     never writable and executable at once.  If mmap or mprotect
 //     fails (hardened kernels, seccomp), compile() returns null and
 //     callers keep the plan executor.
-//   * Host gating — emitters exist for x86-64 (SysV) and aarch64
-//     (AAPCS64); any other host gets null (plan-executor fallback).
+//   * Host gating — the one emitter targets x86-64 (SysV); any other
+//     host gets null (plan-executor fallback).
 //   * Knob — the TEMPO_PLAN_JIT environment variable ("0", "off",
 //     "false", "no" disable) gates the tier process-wide; SpecConfig
 //     carries a per-build override for tests.
@@ -110,7 +110,7 @@ class CompiledPlan {
   std::size_t code_size_ = 0;
 };
 
-// ---- exposed for unit tests (cross-arch byte-level checks) -------------
+// ---- exposed for unit tests (byte-level checks) ------------------------
 
 namespace jit_internal {
 
@@ -159,10 +159,9 @@ struct FusedProgram {
 // refusal reason.
 bool fuse_plan(const Plan& plan, FusedProgram* out, std::string* why = nullptr);
 
-// Fused ops -> native code bytes (pure byte generation, runnable on any
-// build host; execution obviously requires the matching CPU).
+// Fused ops -> x86-64 code bytes (pure byte generation, runnable on any
+// build host; execution requires an x86-64 CPU).
 std::vector<std::uint8_t> emit_x86_64(const FusedProgram& prog);
-std::vector<std::uint8_t> emit_aarch64(const FusedProgram& prog);
 
 }  // namespace jit_internal
 

@@ -128,11 +128,11 @@ VerifyResult verify_plan(const Plan& plan);
 //
 //   0  off       — no admission pass (release builds may opt out)
 //   1  admit     — verify every plan once at spec build; a rejected
-//                  plan fails the build (negative-cached like any
-//                  other ineligible shape).  The default.
-//   2  paranoid  — additionally re-verify before every SpecCache
-//                  ready-entry insert, so a corrupted-in-flight plan
-//                  cannot reach the hit path.
+//                  plan fails the build (remembered by SpecCache like
+//                  any other ineligible type).  The default.
+//   2  paranoid  — additionally re-verify before SpecCache hands out
+//                  a new build, so a corrupted-in-flight plan cannot
+//                  reach a caller.
 //
 // Debug builds (NDEBUG unset) clamp the effective mode to at least 1:
 // the admission pass is always on where assertions are.

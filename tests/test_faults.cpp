@@ -98,7 +98,7 @@ std::unique_ptr<rpc::EventServerRuntime> make_runtime(RuntimeKind kind,
 class RuntimeFaults : public ::testing::TestWithParam<RuntimeKind> {
  protected:
   void SetUp() override {
-    cache_ = std::make_unique<core::SpecCache>(32);
+    cache_ = std::make_unique<core::SpecCache>();
     service_ = std::make_unique<core::CachedSpecService>(
         *cache_, echo_array_proc(), kProg, kVers,
         [](std::span<const std::uint32_t>, std::span<const std::uint32_t> args,

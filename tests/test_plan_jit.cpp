@@ -391,12 +391,6 @@ bool contains(const std::vector<std::uint8_t>& code,
          code.end();
 }
 
-std::vector<std::uint32_t> a64_words(const std::vector<std::uint8_t>& code) {
-  std::vector<std::uint32_t> words(code.size() / 4);
-  std::memcpy(words.data(), code.data(), words.size() * 4);
-  return words;
-}
-
 TEST(JitEmit, CountLoopTakesTripCountFromRegister) {
   ji::FusedProgram prog;
   ASSERT_TRUE(ji::fuse_plan(count_plan(false, 2048), &prog));
@@ -410,16 +404,6 @@ TEST(JitEmit, CountLoopTakesTripCountFromRegister) {
       << "cmp ebx, 16; jb (k-wide trips, then the remainder)";
   EXPECT_TRUE(contains(x86, {0x81, 0xFB, 0, 0, 0, 0, 0x0F, 0x84}))
       << "cmp ebx, 0; je (count 0 skips the body)";
-
-  // aarch64: w13 = w4, then "cmp w13, #0; b.eq" skips the body.
-  const auto a64 = a64_words(ji::emit_aarch64(prog));
-  EXPECT_NE(std::find(a64.begin(), a64.end(), 0x2A0403EDu), a64.end())
-      << "mov w13, w4";
-  bool skip = false;
-  for (std::size_t i = 0; i + 1 < a64.size(); ++i) {
-    skip |= a64[i] == 0x710001BFu && (a64[i + 1] & 0xFF00001Fu) == 0x54000000u;
-  }
-  EXPECT_TRUE(skip) << "cmp w13, #0; b.eq";
 
   // Exact stubs never read the count register.
   ji::FusedProgram exact;
@@ -470,9 +454,9 @@ TEST(JitCountLoop, RemainderBoundariesMatchExecutor) {
   }
 }
 
-// ---- cross-arch emitters (pure byte generation) ------------------------
+// ---- the emitter (pure byte generation) --------------------------------
 
-TEST(JitEmit, BothBackendsEmitPlausibleCode) {
+TEST(JitEmit, EmitsPlausibleX86Code) {
   Plan plan;
   plan.is_encode = false;
   plan.expected_in = 4020;
@@ -480,7 +464,7 @@ TEST(JitEmit, BothBackendsEmitPlausibleCode) {
   plan.instrs = {
       ins(POp::kGuardLen, 0, 0, 0, 4020),
       ins(POp::kGetWord, 0, 0, 0),
-      // 500 iterations × 2-op body stays a native loop in both backends.
+      // 500 iterations × 2-op body stays a native loop.
       ins(POp::kLoop, 0, 500, 2, pe::pack_loop_strides({8, 2})),
       ins(POp::kGetWord, 16, 1, 0),
       ins(POp::kGetBytes, 20, 8, 3),
@@ -491,13 +475,6 @@ TEST(JitEmit, BothBackendsEmitPlausibleCode) {
   const auto x86 = ji::emit_x86_64(prog);
   ASSERT_FALSE(x86.empty());
   EXPECT_EQ(x86.back(), 0xC3) << "x86-64 code must end in ret";
-
-  const auto a64 = ji::emit_aarch64(prog);
-  ASSERT_FALSE(a64.empty());
-  ASSERT_EQ(a64.size() % 4, 0u) << "aarch64 is fixed-width";
-  std::uint32_t last;
-  std::memcpy(&last, a64.data() + a64.size() - 4, 4);
-  EXPECT_EQ(last, 0xD65F03C0u) << "aarch64 code must end in ret";
 }
 
 // ---- size accounting ---------------------------------------------------

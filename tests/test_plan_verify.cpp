@@ -541,11 +541,11 @@ TEST(PlanVerifyAdmit, AdmissionKnob) {
   pe::set_verify_mode(pe::VerifyMode::kAdmit);
 }
 
-// End-to-end through the cache: paranoid mode re-verifies at publish,
+// End-to-end through the cache: paranoid mode re-verifies each build,
 // and a clean corpus must yield zero spec_cache.verify_rejects.
 TEST(PlanVerifyAdmit, SpecCachePassesCleanCorpus) {
   pe::set_verify_mode(pe::VerifyMode::kParanoid);
-  core::SpecCache cache(/*capacity=*/8);
+  core::SpecCache cache;
   core::SpecConfig cfg;
   cfg.arg_counts = {64};
   cfg.res_counts = {64};

@@ -273,7 +273,7 @@ TEST(Reactor, EpollSetupFailureIsAnErrorNotADowngrade) {
 // ------------------------------------------- event runtime e2e (UDP) ---
 
 TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
-  core::SpecCache cache(32);
+  core::SpecCache cache;
 
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
@@ -290,6 +290,9 @@ TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
   rpc::EventServerRuntime runtime(reg, cfg);
   ASSERT_TRUE(runtime.start().is_ok());
   EXPECT_STREQ(runtime.backend(), "epoll");
+  // The service built its interface when it was constructed; no call
+  // builds another.
+  const std::int64_t misses_at_start = cache.stats().misses;
 
   const std::vector<std::uint32_t> sizes = {25, 50, 100};
   constexpr int kCallsPerClient = 30;
@@ -329,11 +332,13 @@ TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
       static_cast<std::int64_t>(sizes.size()) * kCallsPerClient;
   const auto& sstats = service.stats();
   const auto cstats = cache.stats();
-  // The echo array ends its message, so one class build serves every
-  // length; everything else is served from it.
+  // The echo array ends its message, so the one class build taken at
+  // construction serves every length, and every call runs it.
   EXPECT_EQ(cstats.misses, 1);
+  EXPECT_EQ(cstats.misses, misses_at_start);
   EXPECT_EQ(sstats.fast_path + sstats.generic_path, calls);
   EXPECT_GT(sstats.fast_path.load(), 0);
+  EXPECT_EQ(sstats.generic_path.load(), 0);
   EXPECT_GE(runtime.stats().udp_datagrams.load(), calls);
   EXPECT_GE(runtime.stats().udp_batches.load(), 1);
   // Third-tier accounting: the class plans all compile, so every
@@ -354,7 +359,7 @@ TEST(EventServerRuntime, CachedServiceOverLoopbackUdp) {
 // periodic re-sweep tick — whatever its length, a missed wakeup shows
 // up as a tick steal.
 TEST(EventServerRuntime, StealingIsWakeupDrivenNotTickDriven) {
-  core::SpecCache cache(32);
+  core::SpecCache cache;
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_array_proc(), kProg, kVers,
@@ -407,7 +412,7 @@ TEST(EventServerRuntime, StealingIsWakeupDrivenNotTickDriven) {
 // ------------------------------------------- event runtime e2e (TCP) ---
 
 TEST(EventServerRuntime, CachedServiceOverTcpStream) {
-  core::SpecCache cache(32);
+  core::SpecCache cache;
 
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
@@ -771,7 +776,7 @@ TEST(EventServerRuntime, OversizedRecordDoesNotCorruptServer) {
 // reassembly buffer grows.  Concurrent UDP and TCP callers must keep
 // their p99 latency far below the trickle cadence.
 TEST(EventServerRuntime, SlowPeerDoesNotStallOtherClients) {
-  core::SpecCache cache(32);
+  core::SpecCache cache;
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_array_proc(), kProg, kVers,
@@ -956,7 +961,7 @@ Bytes read_framed_reply(net::TcpConn& conn, int timeout_ms = 3000) {
 // The whole client mix of the single-loop e2e must still be served, and
 // the per-shard stats must aggregate into one coherent view.
 TEST(EventServerRuntime, MultiReactorServesUdpAndTcpAcrossShards) {
-  core::SpecCache cache(32);
+  core::SpecCache cache;
   rpc::SvcRegistry reg;
   core::CachedSpecService service(
       cache, echo_array_proc(), kProg, kVers,

@@ -1,6 +1,6 @@
 // RPC engine tests: message codecs, auth, dispatch + protocol error
-// replies, real loopback UDP/TCP round trips, port mapper, and
-// retransmission behaviour under simulated loss.
+// replies, real loopback UDP/TCP round trips, and retransmission
+// behaviour under simulated loss.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "net/udp.h"
 #include "rpc/auth.h"
 #include "rpc/client.h"
-#include "rpc/pmap.h"
 #include "rpc/svc.h"
 #include "xdr/xdrmem.h"
 
@@ -460,47 +459,6 @@ TEST(Client, RetransmitsThroughLossyLink) {
   EXPECT_EQ(ok, 50);
   EXPECT_GT(client.stats().retransmissions, 0);
   EXPECT_GT(net.packets_dropped(), 0);
-}
-
-// ---- port mapper ---------------------------------------------------------
-
-TEST(Pmap, SetGetUnsetOverRpc) {
-  net::SimNetwork net;
-  auto* pmap_ep = net.create_endpoint(kPmapPort);
-  auto* client_ep = net.create_endpoint();
-
-  SvcRegistry reg;
-  PortMapper pmap;
-  pmap.install(reg);
-  attach_sim_server(pmap_ep, reg);
-
-  const net::Addr pmap_addr = pmap_ep->local_addr();
-  Mapping m{70011, 1, kIpprotoUdp, 9001};
-
-  auto set = pmap_set(*client_ep, pmap_addr, m);
-  ASSERT_TRUE(set.is_ok()) << set.status().to_string();
-  EXPECT_TRUE(*set);
-
-  // Duplicate SET fails (RFC 1057 semantics).
-  set = pmap_set(*client_ep, pmap_addr, m);
-  ASSERT_TRUE(set.is_ok());
-  EXPECT_FALSE(*set);
-
-  auto port = pmap_getport(*client_ep, pmap_addr, 70011, 1, kIpprotoUdp);
-  ASSERT_TRUE(port.is_ok());
-  EXPECT_EQ(*port, 9001u);
-
-  // Unknown program: port 0.
-  port = pmap_getport(*client_ep, pmap_addr, 123456, 1, kIpprotoUdp);
-  ASSERT_TRUE(port.is_ok());
-  EXPECT_EQ(*port, 0u);
-
-  auto unset = pmap_unset(*client_ep, pmap_addr, 70011, 1);
-  ASSERT_TRUE(unset.is_ok());
-  EXPECT_TRUE(*unset);
-  port = pmap_getport(*client_ep, pmap_addr, 70011, 1, kIpprotoUdp);
-  ASSERT_TRUE(port.is_ok());
-  EXPECT_EQ(*port, 0u);
 }
 
 }  // namespace
