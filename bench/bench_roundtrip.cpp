@@ -193,11 +193,14 @@ void run_native_loopback(std::vector<SpeedupRow>& rows,
   for (std::uint32_t n : paper_sizes()) {
     core::SpecializedInterface iface = make_iface(n);
 
+    // One server serves both clients, so the row compares clients.
     net::UdpSocket server_sock;
     rpc::SvcRegistry reg;
-    core::SpecializedService service(
-        iface, [](std::span<const std::uint32_t> args,
-                  std::span<std::uint32_t> results) {
+    core::SpecCache cache;
+    core::CachedSpecService service(
+        cache, echo_proc(), kProg, kVers,
+        [](std::span<const std::uint32_t>, std::span<const std::uint32_t> args,
+           std::span<std::uint32_t> results) {
           std::copy(args.begin(), args.end(), results.begin());
           return true;
         });

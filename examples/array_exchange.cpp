@@ -56,13 +56,16 @@ int main() {
     // Spin up worker services (prefix-sum over the block).
     std::vector<net::SimEndpoint*> workers;
     std::vector<std::unique_ptr<rpc::SvcRegistry>> registries;
-    std::vector<std::unique_ptr<core::SpecializedService>> services;
+    core::SpecCache cache;
+    std::vector<std::unique_ptr<core::CachedSpecService>> services;
     for (int w = 0; w < kWorkers; ++w) {
       auto* ep = net.create_endpoint();
       auto reg = std::make_unique<rpc::SvcRegistry>();
-      auto svc = std::make_unique<core::SpecializedService>(
-          *iface, [](std::span<const std::uint32_t> args,
-                     std::span<std::uint32_t> results) {
+      auto svc = std::make_unique<core::CachedSpecService>(
+          cache, proc, kProg, kVers,
+          [](std::span<const std::uint32_t>,
+             std::span<const std::uint32_t> args,
+             std::span<std::uint32_t> results) {
             std::uint32_t acc = 0;
             for (std::size_t i = 0; i < args.size(); ++i) {
               acc += args[i];

@@ -64,9 +64,11 @@ int main() {
   // ---- server: min(int1, int2), specialized fast path ----
   net::UdpSocket server_sock;
   rpc::SvcRegistry registry;
-  core::SpecializedService service(
-      *iface, [](std::span<const std::uint32_t> args,
-                 std::span<std::uint32_t> results) {
+  core::SpecCache cache;
+  core::CachedSpecService service(
+      cache, rmin, prog.number, prog.versions.front().number,
+      [](std::span<const std::uint32_t>, std::span<const std::uint32_t> args,
+         std::span<std::uint32_t> results) {
         const auto a = static_cast<std::int32_t>(args[0]);
         const auto b = static_cast<std::int32_t>(args[1]);
         results[0] = static_cast<std::uint32_t>(a < b ? a : b);

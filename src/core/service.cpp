@@ -8,74 +8,6 @@ namespace tempo::core {
 
 using pe::ExecStatus;
 
-SpecializedService::SpecializedService(const SpecializedInterface& iface,
-                                       WordHandler handler)
-    : iface_(iface), handler_(std::move(handler)) {
-  // The pinned interface either runs compiled stubs or it does not, so
-  // every fast-path call lands in one tier: jit when it has stubs, plan
-  // otherwise (the same split CachedSpecService reports).
-  metrics_source_ =
-      common::metrics().add_source([this](common::MetricsSnapshot& snap) {
-        const std::int64_t jit = iface_.jit_active() ? stats_.fast_path : 0;
-        snap.add_counter("service.fast_path", stats_.fast_path);
-        snap.add_counter("service.generic_path", stats_.generic_path);
-        snap.add_counter("service.jit_fast_path", jit);
-        snap.add_counter("service.tier_jit", jit);
-        snap.add_counter("service.tier_plan", stats_.fast_path - jit);
-        snap.add_counter("service.tier_generic", stats_.generic_path);
-      });
-}
-
-void SpecializedService::install(rpc::SvcRegistry& registry) {
-  registry.register_proc(
-      iface_.corpus().prog_num, iface_.corpus().vers_num,
-      iface_.corpus().proc_num,
-      [this](xdr::XdrStream& in, xdr::XdrStream& out) {
-        return handle(in, out);
-      });
-}
-
-bool SpecializedService::handle(xdr::XdrStream& in, xdr::XdrStream& out) {
-  const pe::Plan& dplan = iface_.decode_args_plan();
-  const pe::Plan& eplan = iface_.encode_results_plan();
-
-  // Fast path needs direct buffer access on both streams.
-  std::uint8_t* in_bytes =
-      dplan.expected_in ? in.inline_bytes(dplan.expected_in) : nullptr;
-  if (dplan.expected_in != 0 && in_bytes != nullptr) {
-    std::vector<std::uint32_t> args(
-        static_cast<std::size_t>(iface_.arg_slots()));
-    if (iface_.exec_decode_args(ByteSpan(in_bytes, dplan.expected_in),
-                                args) == ExecStatus::kOk) {
-      std::vector<std::uint32_t> results(
-          static_cast<std::size_t>(iface_.res_slots()));
-      if (!handler_(args, results)) return false;
-      std::uint8_t* out_bytes = out.inline_bytes(eplan.out_size);
-      if (out_bytes != nullptr) {
-        ++stats_.fast_path;
-        return iface_.exec_encode_results(
-                   results, MutableByteSpan(out_bytes, eplan.out_size)) ==
-               ExecStatus::kOk;
-      }
-      // Buffer not inlinable for the reply: encode generically.
-      ++stats_.generic_path;
-      auto value = pe::unflatten_value(iface_.res_type(),
-                                       iface_.config().res_counts, results);
-      if (!value.is_ok()) return false;
-      return idl::encode_value(out, iface_.res_type(), *value);
-    }
-    // Guard miss: rewind is impossible on a stream, but the plan only
-    // *read* via the inline span — the stream cursor already advanced,
-    // so decode generically from the claimed bytes.
-    xdr::XdrMem redo(MutableByteSpan(in_bytes, dplan.expected_in),
-                     xdr::XdrOp::kDecode);
-    ++stats_.generic_path;
-    return handle_generic(redo, out);
-  }
-  ++stats_.generic_path;
-  return handle_generic(in, out);
-}
-
 namespace {
 
 bool count_free(const idl::Type& t) {
@@ -278,36 +210,6 @@ bool CachedSpecService::serve_generic(xdr::XdrStream& in,
   }
   common::trace_mark(common::TraceStage::kEncode);
   return ok;
-}
-
-bool SpecializedService::handle_generic(xdr::XdrStream& in,
-                                        xdr::XdrStream& out) {
-  idl::Value value;
-  if (!idl::decode_value(in, iface_.arg_type(), value)) return false;
-  pe::Slots args;
-  std::vector<std::uint32_t> counts;
-  if (!pe::collect_counts(iface_.arg_type(), value, counts).is_ok()) {
-    return false;
-  }
-  if (!pe::flatten_value(iface_.arg_type(), value, counts, args).is_ok()) {
-    return false;
-  }
-  // Shape differs from the specialization: the word handler contract is
-  // fixed-shape, so only matching requests can be served.
-  if (counts != iface_.config().arg_counts &&
-      !iface_.config().arg_counts.empty()) {
-    return false;
-  }
-  if (args.size() != static_cast<std::size_t>(iface_.arg_slots())) {
-    return false;
-  }
-  std::vector<std::uint32_t> results(
-      static_cast<std::size_t>(iface_.res_slots()));
-  if (!handler_(args, results)) return false;
-  auto rvalue = pe::unflatten_value(iface_.res_type(),
-                                    iface_.config().res_counts, results);
-  if (!rvalue.is_ok()) return false;
-  return idl::encode_value(out, iface_.res_type(), *rvalue);
 }
 
 }  // namespace tempo::core

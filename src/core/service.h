@@ -22,44 +22,10 @@
 
 namespace tempo::core {
 
-// Application logic on flattened slots: read `args`, fill `results`
-// (pre-sized to iface.res_slots()).  Return false for a server fault.
-using WordHandler = std::function<bool(std::span<const std::uint32_t> args,
-                                       std::span<std::uint32_t> results)>;
-
-struct SpecServiceStats {
-  std::int64_t fast_path = 0;
-  std::int64_t generic_path = 0;
-};
-
-// Registers `handler` for the interface; requests are served through the
-// residual plans when possible.  The returned stats object is owned by
-// the registry entry (lives as long as the registry).
-class SpecializedService {
- public:
-  SpecializedService(const SpecializedInterface& iface, WordHandler handler);
-
-  void install(rpc::SvcRegistry& registry);
-
-  const SpecServiceStats& stats() const { return stats_; }
-
- private:
-  bool handle(xdr::XdrStream& in, xdr::XdrStream& out);
-  bool handle_generic(xdr::XdrStream& in, xdr::XdrStream& out);
-
-  const SpecializedInterface& iface_;
-  WordHandler handler_;
-  // Plain (non-atomic) counters: this pinned-shape service is used by
-  // single-threaded adapters and benchmarks; the snapshot source reads
-  // whatever values are visible, which is exact once traffic quiesces.
-  SpecServiceStats stats_;
-  common::MetricsRegistry::SourceHandle metrics_source_;  // last member
-};
-
-// Dynamic sibling of SpecializedService for servers whose clients send
-// *varying* array lengths.  The constructor builds the procedure's one
-// interface from its types alone, as Tempo specialized before the
-// program ran: one get_or_build through `cache` with no pinned counts.
+// The server's specialized service, for fixed and varying array
+// lengths alike.  The constructor builds the procedure's one interface
+// from its types alone, as Tempo specialized before the program ran:
+// one get_or_build through `cache` with no pinned counts.
 // A side whose one variable array ends its message (pe::tail_array)
 // gets class plans serving every length up to a cap, a count-free side
 // gets exact plans, and the handler sees the wire count.  The interface

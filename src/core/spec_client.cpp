@@ -11,6 +11,22 @@ namespace tempo::core {
 
 using pe::ExecStatus;
 
+namespace {
+
+// The count an open side's span of `words` holds (the side has
+// base + slope * count slots), or pe::kNoCount when `words` is not a
+// whole count within `cap`.
+std::uint32_t count_of(std::size_t words, std::int64_t base,
+                       std::int64_t slope, std::uint32_t cap) {
+  const auto extra = static_cast<std::int64_t>(words) - base;
+  if (extra < 0 || extra % slope != 0 || extra / slope > cap) {
+    return pe::kNoCount;
+  }
+  return static_cast<std::uint32_t>(extra / slope);
+}
+
+}  // namespace
+
 SpecializedClient::SpecializedClient(net::DatagramTransport& transport,
                                      net::Addr server,
                                      const SpecializedInterface& iface,
@@ -19,7 +35,8 @@ SpecializedClient::SpecializedClient(net::DatagramTransport& transport,
       server_(server),
       iface_(iface),
       opts_(opts),
-      send_buf_(iface.encode_call_plan().out_size),
+      send_buf_(iface.encode_call_plan().out_size_at(
+          iface.encode_call_plan().count_cap)),
       recv_buf_(rpc::kMaxUdpMessage) {
   const auto t = std::chrono::steady_clock::now().time_since_epoch();
   xid_ = static_cast<std::uint32_t>(
@@ -48,11 +65,21 @@ Status SpecializedClient::decode_generic(ByteSpan payload,
   if (!idl::decode_value(in, iface_.res_type(), value)) {
     return parse_error("cannot decode results");
   }
+  // An open side flattens at the reply's own count; a pinned side at
+  // its pinned counts, which a reply of another shape fails.
+  std::vector<std::uint32_t> counts = iface_.config().res_counts;
+  if (iface_.decode_reply_plan().has_count()) {
+    counts.clear();
+    TEMPO_RETURN_IF_ERROR(
+        pe::collect_counts(iface_.res_type(), value, counts));
+  }
   pe::Slots slots;
-  TEMPO_RETURN_IF_ERROR(pe::flatten_value(
-      iface_.res_type(), value, iface_.config().res_counts, slots));
-  if (slots.size() > results.size()) {
-    return out_of_range("result block too small");
+  TEMPO_RETURN_IF_ERROR(
+      pe::flatten_value(iface_.res_type(), value, counts, slots));
+  // Exact fill: a shorter reply would leave stale words behind a
+  // success status.
+  if (slots.size() != results.size()) {
+    return out_of_range("reply does not fill the result block");
   }
   std::copy(slots.begin(), slots.end(), results.begin());
   return Status::ok();
@@ -60,22 +87,33 @@ Status SpecializedClient::decode_generic(ByteSpan payload,
 
 Status SpecializedClient::call(std::span<const std::uint32_t> args,
                                std::span<std::uint32_t> results) {
+  const pe::Plan& eplan = iface_.encode_call_plan();
+  const pe::Plan& dplan = iface_.decode_reply_plan();
+  std::uint32_t count = 0;
+  if (eplan.has_count()) {
+    count = count_of(args.size(), iface_.arg_slots(0),
+                     iface_.arg_slots(1) - iface_.arg_slots(0),
+                     eplan.count_cap);
+    if (count == pe::kNoCount) {
+      return invalid_argument("argument words are not a whole count up to "
+                              "the cap");
+    }
+  }
   ++stats_.calls;
   ++xid_;
 
   // ---- residual encode (paper Fig. 5 equivalent), compiled tier when
   // available ----
-  const pe::Plan& eplan = iface_.encode_call_plan();
+  const ByteSpan request(send_buf_.data(), eplan.out_size_at(count));
   if (iface_.exec_encode_call(
-          args, xid_, MutableByteSpan(send_buf_.data(), send_buf_.size())) !=
-      ExecStatus::kOk) {
+          args, xid_, MutableByteSpan(send_buf_.data(), request.size()),
+          count) != ExecStatus::kOk) {
     return internal_error("encode plan rejected inputs");
   }
 
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opts_.total_timeout_ms);
-  TEMPO_RETURN_IF_ERROR(transport_.send_to(
-      server_, ByteSpan(send_buf_.data(), eplan.out_size)));
+  TEMPO_RETURN_IF_ERROR(transport_.send_to(server_, request));
 
   for (;;) {
     const auto remaining =
@@ -93,16 +131,25 @@ Status SpecializedClient::call(std::span<const std::uint32_t> args,
     if (!got.is_ok()) {
       if (got.status().code() == StatusCode::kTimeout) {
         ++stats_.retransmissions;
-        TEMPO_RETURN_IF_ERROR(transport_.send_to(
-            server_, ByteSpan(send_buf_.data(), eplan.out_size)));
+        TEMPO_RETURN_IF_ERROR(transport_.send_to(server_, request));
         continue;
       }
       return got.status();
     }
 
     // ---- residual decode with guarded fallback ----
+    // The reply must fill `results` exactly: one of another count is a
+    // shape mismatch for the generic decoder, as a pinned side's length
+    // guard makes it.
     const ByteSpan payload(recv_buf_.data(), *got);
-    switch (iface_.exec_decode_reply(payload, xid_, results)) {
+    const std::uint32_t reply_count =
+        dplan.has_count() ? pe::peek_count(dplan, payload) : 0;
+    const bool fills =
+        reply_count != pe::kNoCount &&
+        iface_.res_slots(reply_count) ==
+            static_cast<std::int64_t>(results.size());
+    switch (fills ? iface_.exec_decode_reply(payload, xid_, results)
+                  : ExecStatus::kFallback) {
       case ExecStatus::kOk:
         return Status::ok();
       case ExecStatus::kRetryXid:

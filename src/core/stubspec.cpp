@@ -173,8 +173,7 @@ Result<SpecializedInterface> SpecializedInterface::build(
   // Third tier: lower each plan to a native stub.  Strictly
   // best-effort — any null (unsupported host, W^X failure, plan outside
   // the compilable subset) leaves that entry point on the plan executor.
-  if (config.enable_jit && pe::jit_enabled_by_env() &&
-      pe::jit_supported_host()) {
+  if (pe::jit_enabled_by_env() && pe::jit_supported_host()) {
     out.encode_call_jit_ = pe::CompiledPlan::compile(out.encode_call_);
     out.decode_reply_jit_ = pe::CompiledPlan::compile(out.decode_reply_);
     out.decode_args_jit_ = pe::CompiledPlan::compile(out.decode_args_);

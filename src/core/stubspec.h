@@ -42,12 +42,6 @@ struct SpecConfig {
   std::vector<std::uint32_t> res_counts;
   std::uint32_t unroll_factor = 0;        // 0 = full unroll (paper default)
   std::uint32_t buffer_bytes = 65000;     // encode capacity (static input)
-  // Third execution tier: lower the residual plans to native stubs
-  // (pe::CompiledPlan).  The effective setting is this flag AND the
-  // process-wide TEMPO_PLAN_JIT env knob AND host support; it is
-  // deliberately NOT part of the SpecCache key — the tier changes how a
-  // plan runs, never what it produces.
-  bool enable_jit = true;
 };
 
 class SpecializedInterface {

@@ -11,7 +11,7 @@ idl::ProcDef ship_proc() {
   idl::ProcDef proc;
   proc.name = "KV_SHIP";
   proc.number = kReplProcShip;
-  proc.arg_type = idl::t_array_var(idl::t_uint(), kShipSizeClasses.back());
+  proc.arg_type = idl::t_array_var(idl::t_uint(), kShipMaxWords);
   proc.res_type = idl::t_array_fixed(idl::t_uint(), kShipAckWords);
   return proc;
 }
@@ -92,13 +92,6 @@ void append_ship_words(std::vector<std::uint32_t>& words,
   words.push_back(static_cast<std::uint32_t>(r.value.size()));
   pack_bytes(words, r.key);
   pack_bytes(words, r.value);
-}
-
-std::uint32_t ship_class_for(std::size_t words) {
-  for (const std::uint32_t cls : kShipSizeClasses) {
-    if (words <= cls) return cls;
-  }
-  return 0;
 }
 
 Result<ShipBatch> decode_ship_words(std::span<const std::uint32_t> words) {
@@ -253,16 +246,12 @@ bool KvReplicaSink::handle(std::span<const std::uint32_t> arg_counts,
 KvReplicator::KvReplicator(ShipSource& source, net::Addr replica,
                            Options opts)
     : source_(source), replica_(replica), opts_(opts) {
-  for (const std::uint32_t cls : kShipSizeClasses) {
-    core::SpecConfig cfg;
-    cfg.arg_counts = {cls};
-    auto iface = core::SpecializedInterface::build(ship_proc(), kReplProgram,
-                                                   kReplVersion, cfg);
-    if (!iface.is_ok()) continue;  // start() reports the failure
-    ifaces_.push_back(
-        std::make_unique<core::SpecializedInterface>(std::move(*iface)));
-    clients_.push_back(std::make_unique<core::SpecializedClient>(
-        sock_, replica_, *ifaces_.back(), opts_.call));
+  auto iface = core::SpecializedInterface::build(
+      ship_proc(), kReplProgram, kReplVersion, core::SpecConfig{});
+  if (iface.is_ok()) {
+    iface_ = std::make_unique<core::SpecializedInterface>(std::move(*iface));
+    client_ = std::make_unique<core::SpecializedClient>(sock_, replica_,
+                                                        *iface_, opts_.call);
   }
   acked_.reserve(source_.shard_count());
   for (std::uint32_t i = 0; i < source_.shard_count(); ++i) {
@@ -290,7 +279,7 @@ KvReplicator::~KvReplicator() { stop(); }
 
 Status KvReplicator::start() {
   if (!sock_.ok()) return unavailable("kv replicator: udp socket failed");
-  if (clients_.size() != kShipSizeClasses.size()) {
+  if (!client_) {
     return internal_error("kv replicator: ship specialization build failed");
   }
   if (thread_.joinable()) return Status::ok();
@@ -324,11 +313,6 @@ bool KvReplicator::wait_caught_up(std::uint32_t timeout_ms) {
   return true;
 }
 
-const core::SpecClientStats& KvReplicator::client_stats(
-    std::size_t size_class) const {
-  return clients_[size_class]->stats();
-}
-
 void KvReplicator::ship_loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     bool progress = false;
@@ -346,25 +330,21 @@ void KvReplicator::ship_loop() {
 bool KvReplicator::ship_shard(std::uint32_t shard) {
   const std::uint64_t from = acked_[shard]->load(std::memory_order_acquire);
   if (source_.shippable_seq(shard) <= from) return false;
-  const std::vector<LogRecord> records = source_.fetch_since(
-      shard, from, kShipSizeClasses.back() - kShipHeaderWords);
+  const std::vector<LogRecord> records =
+      source_.fetch_since(shard, from, kShipMaxWords - kShipHeaderWords);
   if (records.empty()) return false;
 
+  std::size_t total = kShipHeaderWords;
+  for (const LogRecord& r : records) total += record_ship_words(r);
   std::vector<std::uint32_t> words;
-  words.reserve(kShipSizeClasses.front());
+  words.reserve(total);
   words.push_back(shard);
   words.push_back(static_cast<std::uint32_t>(records.size()));
   for (const LogRecord& r : records) append_ship_words(words, r);
-  const std::uint32_t cls = ship_class_for(words.size());
-  if (cls == 0) return false;  // fetch_since's word budget prevents this
-  words.resize(cls, 0u);  // pad up to the size class
-
-  std::size_t client_idx = 0;
-  while (kShipSizeClasses[client_idx] != cls) ++client_idx;
 
   std::array<std::uint32_t, kShipAckWords> ack{};
   stats_.ship_calls.fetch_add(1, std::memory_order_relaxed);
-  const Status st = clients_[client_idx]->call(words, ack);
+  const Status st = client_->call(words, ack);
   if (!st.is_ok() || ack[0] != 0) {
     stats_.ship_failures.fetch_add(1, std::memory_order_relaxed);
     return false;

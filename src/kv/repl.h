@@ -1,11 +1,12 @@
 // Primary -> replica log shipping over the repo's own RPC runtime.
 //
-// The KV_REPL program is deliberately fixed-shape: the SHIP procedure
-// carries a variable array of uint words (plan-eligible — see
-// pe::plan_eligible) padded up to one of three size classes, and
-// returns a fixed 4-word ack.  The primary therefore needs only three
-// cached specializations and every ship/ack round-trip rides the
-// plan/JIT fast path — the same residual-stub machinery the paper
+// The SHIP procedure carries a variable array of uint words that ends
+// its message (pe::tail_array), and returns a fixed 4-word ack.  Each
+// end builds the procedure's one interface from the types: the array
+// side gets class plans serving every length up to kShipMaxWords, the
+// ack exact plans.  So a ship message holds exactly the words its
+// records need, and every ship/ack round-trip rides the plan/JIT fast
+// path on both ends — the same residual-stub machinery the paper
 // builds for application RPC, reused as the replication transport.
 // (The string-heavy client-facing KV program stays on the generic
 // layered tier; both tiers run in one live service.)
@@ -16,8 +17,8 @@
 //   then per record:
 //     seq_hi, seq_lo, op, key_len, val_len,
 //     ceil(key_len/4) key words, ceil(val_len/4) value words
-//   (bytes packed big-endian, last word zero-padded), then zero padding
-//   up to the chosen size class.
+//   (bytes packed big-endian, last word zero-padded).  The decoder
+//   ignores words after the last record.
 //
 // Ack words: [0] status (0 = ok), [1] records applied by this call,
 // [2]/[3] hi/lo of the replica's last applied sequence.
@@ -59,13 +60,15 @@ constexpr std::uint32_t kReplProgram = 0x20000777;
 constexpr std::uint32_t kReplVersion = 1;
 constexpr std::uint32_t kReplProcShip = 1;
 
-// Padded ship sizes, in words.  The largest keeps the datagram under
-// rpc::kMaxUdpMessage; the smaller two keep small batches cheap.
+// Most words one ship message carries: the SHIP array's IDL bound,
+// which keeps the datagram (64,044 bytes) under rpc::kMaxUdpMessage.
+constexpr std::uint32_t kShipMaxWords = 16000;
+// Read only by perfbench's kv-mixed ledger probe (perfbench.cpp:848).
 constexpr std::array<std::uint32_t, 3> kShipSizeClasses{256, 2048, 16000};
 constexpr std::size_t kShipHeaderWords = 2;  // shard id + record count
 constexpr std::size_t kShipAckWords = 4;
 
-// Limits chosen so one maximal record still fits the largest class.
+// Limits chosen so one maximal record still fits one ship message.
 constexpr std::size_t kMaxKeyBytes = 1024;
 constexpr std::size_t kMaxValueBytes = 60000;
 
@@ -92,8 +95,6 @@ Result<LogRecord> decode_wal_payload(std::uint64_t seq, ByteSpan payload);
 // Words this record contributes to a ship message.
 std::size_t record_ship_words(const LogRecord& r);
 void append_ship_words(std::vector<std::uint32_t>& words, const LogRecord& r);
-// Smallest size class holding `words` payload words, or 0 if none.
-std::uint32_t ship_class_for(std::size_t words);
 
 struct ShipBatch {
   std::uint32_t shard = 0;
@@ -179,8 +180,8 @@ class ShipSource {
 // ------------------------------------------------------------- shipper
 
 // Primary side: a background thread that ships each shard's backlog to
-// one replica through SpecializedClients (one per size class, built
-// once).  Exports kv.repl.* metrics, including the replication-lag
+// one replica through one SpecializedClient on the SHIP interface,
+// built once.  Exports kv.repl.* metrics, including the replication-lag
 // gauge (primary shippable seq minus replica acked seq, summed over
 // shards).
 class KvReplicator {
@@ -219,7 +220,6 @@ class KvReplicator {
   bool wait_caught_up(std::uint32_t timeout_ms);
 
   const Stats& stats() const { return stats_; }
-  const core::SpecClientStats& client_stats(std::size_t size_class) const;
 
  private:
   void ship_loop();
@@ -230,8 +230,9 @@ class KvReplicator {
   net::Addr replica_;
   Options opts_;
   net::UdpSocket sock_;
-  std::vector<std::unique_ptr<core::SpecializedInterface>> ifaces_;
-  std::vector<std::unique_ptr<core::SpecializedClient>> clients_;
+  // Null when the SHIP interface failed to build; start() reports it.
+  std::unique_ptr<core::SpecializedInterface> iface_;
+  std::unique_ptr<core::SpecializedClient> client_;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> acked_;
   Stats stats_;
   std::atomic<bool> stop_{false};

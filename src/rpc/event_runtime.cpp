@@ -768,19 +768,17 @@ void EventServerRuntime::wake_stealer(std::size_t except) {
 
 bool EventServerRuntime::push_job(std::size_t origin, Job& job) {
   Shard& t = *shards_[origin];
-  std::size_t depth;
   {
     std::lock_guard<std::mutex> lock(t.q_mu);
     if (t.queue.size() >= cfg_.queue_capacity) return false;
     t.queue.push_back(std::move(job));
-    depth = t.queue.size();
   }
   pending_jobs_.fetch_add(1, std::memory_order_acq_rel);
   t.q_cv.notify_one();
-  // A backlog behind this shard's own workers (or a queue on a shard
-  // that has none) is exactly what stealing exists for — wake a
-  // sibling now instead of letting it find the work on its idle tick.
-  if (depth > 1 || t.home_workers == 0) wake_stealer(t.index);
+  // Wake a sibling too: even one queued job waits behind this shard's
+  // workers when they are busy (or absent), and stealing should find
+  // it now, not on the sibling's idle tick.
+  wake_stealer(t.index);
   return true;
 }
 
@@ -801,8 +799,9 @@ void EventServerRuntime::push_datagram_jobs(
   if (accepted > 0) {
     pending_jobs_.fetch_add(accepted, std::memory_order_acq_rel);
     s.q_cv.notify_all();
-    // A burst is a backlog by construction: let siblings help.
-    if (accepted > 1 || s.home_workers == 0) wake_stealer(s.index);
+    // As in push_job: a sibling steals what the home workers cannot
+    // reach now.
+    wake_stealer(s.index);
   }
   if (accepted < n) {
     stats_.overload_drops += n - accepted;

@@ -195,7 +195,6 @@ class EventServerRuntime {
   std::vector<common::TraceRecord> trace_snapshot() const {
     return tracer_ ? tracer_->snapshot() : std::vector<common::TraceRecord>{};
   }
-  const common::Tracer* tracer() const { return tracer_.get(); }
 
  private:
   // One complete record (or a reply frame): an arena buffer plus how
@@ -336,9 +335,9 @@ class EventServerRuntime {
     std::thread thread;
   };
 
-  // Wakes one worker of a SIBLING shard so a backlog (or a queue on a
-  // worker-less shard) gets stolen promptly instead of waiting for the
-  // idle-tick fallback.
+  // Wakes one worker of a SIBLING shard; every accepted push calls it,
+  // so a job its home workers cannot take now is stolen promptly
+  // instead of waiting for the idle-tick fallback.
   void wake_stealer(std::size_t except);
 
   // ---- reactor-shard handlers (run on that shard's thread) ------------

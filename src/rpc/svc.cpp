@@ -37,17 +37,6 @@ void SvcRegistry::register_proc(std::uint32_t prog, std::uint32_t vers,
   }
 }
 
-void SvcRegistry::unregister_program(std::uint32_t prog) {
-  for (auto it = handlers_.begin(); it != handlers_.end();) {
-    if (std::get<0>(it->first) == prog) {
-      it = handlers_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  version_bounds_.erase(prog);
-}
-
 namespace {
 
 bool write_reply_prefix(XdrMem& out, ReplyHeader& hdr) {
@@ -158,7 +147,7 @@ Bytes SvcRegistry::handle_datagram(ByteSpan request) {
   if (req.size() < req_size) req.resize(req_size);
   // The paper calls out the input-buffer bzero as part of the measured
   // round-trip cost; keep it on the generic path.
-  if (clear_input_) std::memset(req.data(), 0, req.size());
+  std::memset(req.data(), 0, req.size());
   std::memcpy(req.data(), request.data(), request.size());
 
   const std::size_t n =

@@ -78,7 +78,6 @@ class SvcRegistry {
 
   void register_proc(std::uint32_t prog, std::uint32_t vers,
                      std::uint32_t proc, SvcHandler handler);
-  void unregister_program(std::uint32_t prog);
   void set_auth_checker(AuthChecker checker) { auth_ = std::move(checker); }
 
   // Core transform: reads one call message from `in`, writes the full
@@ -104,19 +103,13 @@ class SvcRegistry {
 
   // Convenience for datagram transports: request bytes -> reply bytes.
   // Empty result means "drop".  This is the generic copy path — the
-  // request is copied into per-thread scratch (after the optional
-  // paper-faithful bzero) and the reply is copied out; the runtimes'
-  // hot paths use handle_request instead.
+  // request is copied into per-thread scratch (after the input-buffer
+  // bzero the paper names as a round-trip cost, §5 "Round-trip RPC")
+  // and the reply is copied out; the runtimes' hot paths use
+  // handle_request instead, which never clears or copies.
   Bytes handle_datagram(ByteSpan request);
 
   const SvcStats& stats() const { return stats_; }
-
-  // When true (default, faithful to the original), the generic
-  // handle_datagram path clears its receive scratch before each request
-  // — the bzero the paper names as a round-trip cost (§5 "Round-trip
-  // RPC").  The zero-copy handle_request path never clears or copies,
-  // regardless of this knob.
-  void set_clear_input_buffer(bool on) { clear_input_ = on; }
 
  private:
   using Key = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
@@ -125,7 +118,6 @@ class SvcRegistry {
       version_bounds_;  // prog -> [low, high]
   AuthChecker auth_;
   SvcStats stats_;
-  bool clear_input_ = true;
   // Last member: unregisters before anything it reads is destroyed.
   common::MetricsRegistry::SourceHandle metrics_source_;
 };

@@ -34,13 +34,31 @@ idl::ProcDef echo_array_proc(std::uint32_t bound = 2000) {
 constexpr std::uint32_t kProg = 0x20000777;
 constexpr std::uint32_t kVers = 1;
 
-WordHandler echo_handler() {
-  return [](std::span<const std::uint32_t> args,
+CachedSpecService::DynamicWordHandler echo_handler() {
+  return [](std::span<const std::uint32_t>, std::span<const std::uint32_t> args,
             std::span<std::uint32_t> results) {
     std::copy(args.begin(), args.end(), results.begin());
     return true;
   };
 }
+
+// An echo CachedSpecService for `proc`, served over a SimNetwork.
+struct SimEchoServer {
+  explicit SimEchoServer(const idl::ProcDef& proc = echo_array_proc())
+      : server_ep(net.create_endpoint()),
+        client_ep(net.create_endpoint()),
+        service(cache, proc, kProg, kVers, echo_handler()) {
+    service.install(reg);
+    rpc::attach_sim_server(server_ep, reg);
+  }
+
+  net::SimNetwork net;
+  net::SimEndpoint* server_ep;
+  net::SimEndpoint* client_ep;
+  rpc::SvcRegistry reg;
+  SpecCache cache;
+  CachedSpecService service;
+};
 
 TEST(SpecializedInterfaceTest, BuildAndInspect) {
   SpecConfig cfg;
@@ -120,26 +138,11 @@ TEST(SpecializedClientTest, InteropWithGenericServerOverSimNet) {
 }
 
 // Generic client against the specialized service: the other direction.
-TEST(SpecializedServiceTest, InteropWithGenericClient) {
+TEST(CachedSpecServiceTest, InteropWithGenericClient) {
   const std::uint32_t n = 20;
-  SpecConfig cfg;
-  cfg.arg_counts = {n};
-  cfg.res_counts = {n};
-  auto iface =
-      SpecializedInterface::build(echo_array_proc(), kProg, kVers, cfg);
-  ASSERT_TRUE(iface.is_ok());
-
-  net::SimNetwork net;
-  auto* server_ep = net.create_endpoint();
-  auto* client_ep = net.create_endpoint();
-
-  rpc::SvcRegistry reg;
-  SpecializedService service(*iface, echo_handler());
-  service.install(reg);
-  rpc::attach_sim_server(server_ep, reg);
-
-  GenericValueClient client(*client_ep, server_ep->local_addr(), kProg,
-                            kVers);
+  SimEchoServer sim;
+  GenericValueClient client(*sim.client_ep, sim.server_ep->local_addr(),
+                            kProg, kVers);
   const auto arg_t = echo_array_proc().arg_type;
   Rng rng(6);
   idl::Value arg = idl::random_value(*arg_t, rng, 100);
@@ -147,7 +150,7 @@ TEST(SpecializedServiceTest, InteropWithGenericClient) {
   auto res = client.call(7, *arg_t, arg, *arg_t);
   ASSERT_TRUE(res.is_ok()) << res.status().to_string();
   EXPECT_TRUE(idl::value_equal(arg, *res));
-  EXPECT_EQ(service.stats().fast_path, 1);
+  EXPECT_EQ(sim.service.stats().fast_path.load(), 1);
 }
 
 // Specialized on both sides.
@@ -160,16 +163,9 @@ TEST(SpecializedClientTest, FullySpecializedRoundTrip) {
       SpecializedInterface::build(echo_array_proc(), kProg, kVers, cfg);
   ASSERT_TRUE(iface.is_ok());
 
-  net::SimNetwork net;
-  auto* server_ep = net.create_endpoint();
-  auto* client_ep = net.create_endpoint();
-
-  rpc::SvcRegistry reg;
-  SpecializedService service(*iface, echo_handler());
-  service.install(reg);
-  rpc::attach_sim_server(server_ep, reg);
-
-  SpecializedClient client(*client_ep, server_ep->local_addr(), *iface);
+  SimEchoServer sim;
+  SpecializedClient client(*sim.client_ep, sim.server_ep->local_addr(),
+                           *iface);
   std::vector<std::uint32_t> args(n), results(n, 0);
   Rng rng(9);
   for (auto& a : args) a = rng.next_u32();
@@ -178,13 +174,13 @@ TEST(SpecializedClientTest, FullySpecializedRoundTrip) {
     ASSERT_TRUE(st.is_ok()) << st.to_string();
     ASSERT_EQ(results, args);
   }
-  EXPECT_EQ(service.stats().fast_path, 10);
+  EXPECT_EQ(sim.service.stats().fast_path.load(), 10);
   EXPECT_EQ(client.stats().generic_fallbacks, 0);
 }
 
-// A pinned interface running compiled stubs attributes its fast path to
-// the jit tier, as CachedSpecService does; none of it reads as plan.
-TEST(SpecializedServiceTest, JitInterfaceReportsJitTier) {
+// A service whose interface runs compiled stubs attributes its fast path
+// to the jit tier; none of it reads as plan.
+TEST(CachedSpecServiceTest, JitInterfaceReportsJitTier) {
   if (!pe::jit_supported_host() || !pe::jit_enabled_by_env()) {
     GTEST_SKIP() << "JIT unavailable on this host or disabled";
   }
@@ -197,21 +193,15 @@ TEST(SpecializedServiceTest, JitInterfaceReportsJitTier) {
   ASSERT_TRUE(iface.is_ok());
   ASSERT_TRUE(iface->jit_active());
 
-  net::SimNetwork net;
-  auto* server_ep = net.create_endpoint();
-  auto* client_ep = net.create_endpoint();
-  rpc::SvcRegistry reg;
-  SpecializedService service(*iface, echo_handler());
-  service.install(reg);
-  rpc::attach_sim_server(server_ep, reg);
-
-  SpecializedClient client(*client_ep, server_ep->local_addr(), *iface);
+  SimEchoServer sim;
+  SpecializedClient client(*sim.client_ep, sim.server_ep->local_addr(),
+                           *iface);
   std::vector<std::uint32_t> args(n, 7), results(n, 0);
   constexpr std::int64_t kCalls = 5;
   for (std::int64_t i = 0; i < kCalls; ++i) {
     ASSERT_TRUE(client.call(args, results).is_ok());
   }
-  ASSERT_EQ(service.stats().fast_path, kCalls);
+  ASSERT_EQ(sim.service.stats().fast_path.load(), kCalls);
 
   common::MetricsSnapshot snap = common::metrics().snapshot();
   EXPECT_EQ(snap.counters["service.tier_jit"], kCalls);
@@ -222,14 +212,12 @@ TEST(SpecializedServiceTest, JitInterfaceReportsJitTier) {
 // The guarded fallback: a server that replies with a *different* count
 // defeats the length guard; the client must degrade to the generic
 // decoder and surface a meaningful result or error, never garbage.
+// A class interface gets the same: its reply must fill `results`.
 TEST(SpecializedClientTest, FallbackOnUnexpectedReplyShape) {
   const std::uint32_t n = 10;
-  SpecConfig cfg;
-  cfg.arg_counts = {n};
-  cfg.res_counts = {n};
-  auto iface =
-      SpecializedInterface::build(echo_array_proc(), kProg, kVers, cfg);
-  ASSERT_TRUE(iface.is_ok());
+  SpecConfig pinned;
+  pinned.arg_counts = {n};
+  pinned.res_counts = {n};
 
   net::SimNetwork net;
   auto* server_ep = net.create_endpoint();
@@ -240,17 +228,23 @@ TEST(SpecializedClientTest, FallbackOnUnexpectedReplyShape) {
   register_value_handler(
       reg, kProg, kVers, 7, arg_t, arg_t,
       [](const idl::Value& v) -> Result<idl::Value> {
-        idl::Value shrunk = v;  // drop one element: different shape
-        shrunk.as<idl::ValueList>().pop_back();
+        idl::Value shrunk = v;  // half the elements: different shape
+        auto& l = shrunk.as<idl::ValueList>();
+        l.resize(l.size() / 2);
         return shrunk;
       });
   rpc::attach_sim_server(server_ep, reg);
 
-  SpecializedClient client(*client_ep, server_ep->local_addr(), *iface);
-  std::vector<std::uint32_t> args(n, 3), results(n, 0);
-  Status st = client.call(args, results);
-  EXPECT_FALSE(st.is_ok());  // shape mismatch is an error, not corruption
-  EXPECT_EQ(client.stats().generic_fallbacks, 1);
+  for (const SpecConfig& cfg : {pinned, SpecConfig{}}) {
+    auto iface =
+        SpecializedInterface::build(echo_array_proc(), kProg, kVers, cfg);
+    ASSERT_TRUE(iface.is_ok());
+    SpecializedClient client(*client_ep, server_ep->local_addr(), *iface);
+    std::vector<std::uint32_t> args(n, 3), results(n, 0);
+    Status st = client.call(args, results);
+    EXPECT_FALSE(st.is_ok());  // shape mismatch is an error, not corruption
+    EXPECT_EQ(client.stats().generic_fallbacks, 1);
+  }
 }
 
 // Protocol errors travel through the fallback too (the specialized
@@ -277,6 +271,61 @@ TEST(SpecializedClientTest, FallbackDecodesProtocolErrors) {
   EXPECT_EQ(client.stats().generic_fallbacks, 1);
 }
 
+// Class plans on both ends: the client takes each call's count from the
+// size of its span, so one interface built from the types serves every
+// length up to the cap, all on the fast path.
+TEST(SpecializedClientTest, ClassInterfaceServesEveryCount) {
+  auto iface = SpecializedInterface::build(echo_array_proc(), kProg, kVers,
+                                           SpecConfig{});
+  ASSERT_TRUE(iface.is_ok());
+  const std::uint32_t cap = iface->encode_call_plan().count_cap;
+  ASSERT_EQ(cap, 2000u);
+
+  SimEchoServer sim;
+  SpecializedClient client(*sim.client_ep, sim.server_ep->local_addr(),
+                           *iface);
+  const std::vector<std::uint32_t> counts{0, 1, 2, 100, cap};
+  Rng rng(17);
+  for (const std::uint32_t n : counts) {
+    std::vector<std::uint32_t> args(n), results(n, 0);
+    for (auto& a : args) a = rng.next_u32();
+    Status st = client.call(args, results);
+    ASSERT_TRUE(st.is_ok()) << "n=" << n << ": " << st.to_string();
+    EXPECT_EQ(results, args) << "n=" << n;
+  }
+  EXPECT_EQ(sim.service.stats().fast_path.load(),
+            static_cast<std::int64_t>(counts.size()));
+  EXPECT_EQ(client.stats().generic_fallbacks, 0);
+}
+
+// On a type whose element is two words, a span that holds no whole
+// count, or a count past the cap, is refused before anything is sent.
+TEST(SpecializedClientTest, ClassInterfaceRefusesSpansThatNameNoCount) {
+  idl::ProcDef proc;
+  proc.name = "PAIRS";
+  proc.number = 7;
+  proc.arg_type = idl::t_array_var(idl::t_hyper(), 64);
+  proc.res_type = proc.arg_type;
+  auto iface = SpecializedInterface::build(proc, kProg, kVers, SpecConfig{});
+  ASSERT_TRUE(iface.is_ok());
+  ASSERT_EQ(iface->arg_slots(1) - iface->arg_slots(0), 2);
+  const std::uint32_t cap = iface->encode_call_plan().count_cap;
+
+  SimEchoServer sim(proc);
+  SpecializedClient client(*sim.client_ep, sim.server_ep->local_addr(),
+                           *iface);
+  std::vector<std::uint32_t> odd(3, 1), past_cap(2 * (cap + 1), 1);
+  std::vector<std::uint32_t> results(2, 0);
+  EXPECT_EQ(client.call(odd, results).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(client.call(past_cap, results).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(sim.reg.stats().requests.load(), 0);
+
+  std::vector<std::uint32_t> two(4, 9), back(4, 0);
+  ASSERT_TRUE(client.call(two, back).is_ok());
+  EXPECT_EQ(back, two);
+}
+
 // Specialized client over *real* loopback UDP against a threaded server.
 TEST(SpecializedClientTest, RealUdpLoopback) {
   const std::uint32_t n = 100;
@@ -290,7 +339,9 @@ TEST(SpecializedClientTest, RealUdpLoopback) {
   net::UdpSocket server_sock;
   ASSERT_TRUE(server_sock.ok());
   rpc::SvcRegistry reg;
-  SpecializedService service(*iface, echo_handler());
+  SpecCache cache;
+  CachedSpecService service(cache, echo_array_proc(), kProg, kVers,
+                            echo_handler());
   service.install(reg);
   rpc::UdpServer server(server_sock, reg);
   std::atomic<bool> stop{false};

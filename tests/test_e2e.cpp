@@ -13,10 +13,11 @@
 namespace tempo {
 namespace {
 
+using core::CachedSpecService;
+using core::SpecCache;
 using core::SpecConfig;
 using core::SpecializedClient;
 using core::SpecializedInterface;
-using core::SpecializedService;
 
 constexpr std::uint32_t kProg = 0x20000888;
 constexpr std::uint32_t kVers = 3;
@@ -57,9 +58,11 @@ TEST_P(FaultInjection, SpecializedCallsSurvive) {
   auto* server_ep = net.create_endpoint();
   auto* client_ep = net.create_endpoint();
   rpc::SvcRegistry reg;
-  SpecializedService service(
-      *iface, [](std::span<const std::uint32_t> args,
-                 std::span<std::uint32_t> results) {
+  SpecCache cache;
+  CachedSpecService service(
+      cache, proc, kProg, kVers,
+      [](std::span<const std::uint32_t>, std::span<const std::uint32_t> args,
+         std::span<std::uint32_t> results) {
         for (std::size_t i = 0; i < args.size(); ++i) results[i] = ~args[i];
         return true;
       });

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/endian.h"
 #include "kv/repl.h"
 #include "kv/service.h"
 #include "rpc/event_runtime.h"
@@ -31,8 +32,8 @@
 namespace tempo {
 namespace {
 
-// Mixed-size values: pushes ship batches across all three size
-// classes (256 / 2048 / 16000 words).
+// Mixed-size values, from one word to 3,000 (12 KB), so ship batches
+// run from a few words to most of the 16,000 a message holds.
 std::string value_for(test::Rng& rng) {
   switch (rng.below(4)) {
     case 0:
@@ -40,9 +41,9 @@ std::string value_for(test::Rng& rng) {
     case 1:
       return std::string(64 + rng.below(128), 'a');
     case 2:
-      return std::string(1000 + rng.below(2000), 'b');  // 2048-word class
+      return std::string(1000 + rng.below(2000), 'b');
     default:
-      return std::string(9000 + rng.below(3000), 'c');  // 16000-word class
+      return std::string(9000 + rng.below(3000), 'c');
   }
 }
 
@@ -99,7 +100,7 @@ struct ReplicaHarness {
   std::unique_ptr<rpc::EventServerRuntime> runtime;
 };
 
-TEST(KvShipCodec, RecordsRoundTripThroughPaddedWords) {
+TEST(KvShipCodec, RecordsRoundTripThroughShipWords) {
   std::vector<kv::LogRecord> records;
   for (int i = 1; i <= 5; ++i) {
     kv::LogRecord r;
@@ -114,19 +115,20 @@ TEST(KvShipCodec, RecordsRoundTripThroughPaddedWords) {
   std::vector<std::uint32_t> words{3 /*shard*/,
                                    static_cast<std::uint32_t>(records.size())};
   for (const auto& r : records) kv::append_ship_words(words, r);
-  const std::uint32_t cls = kv::ship_class_for(words.size());
-  ASSERT_EQ(cls, kv::kShipSizeClasses.front());
-  words.resize(cls, 0u);  // padding must not confuse the decoder
+  std::vector<std::uint32_t> trailing = words;
+  trailing.resize(words.size() + 7, 0u);  // trailing words are ignored
 
-  auto batch = kv::decode_ship_words(words);
-  ASSERT_TRUE(batch.is_ok());
-  EXPECT_EQ(batch->shard, 3u);
-  ASSERT_EQ(batch->records.size(), records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(batch->records[i].seq, records[i].seq);
-    EXPECT_EQ(batch->records[i].op, records[i].op);
-    EXPECT_EQ(batch->records[i].key, records[i].key);
-    EXPECT_EQ(batch->records[i].value, records[i].value);
+  for (const auto& input : {words, trailing}) {
+    auto batch = kv::decode_ship_words(input);
+    ASSERT_TRUE(batch.is_ok());
+    EXPECT_EQ(batch->shard, 3u);
+    ASSERT_EQ(batch->records.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(batch->records[i].seq, records[i].seq);
+      EXPECT_EQ(batch->records[i].op, records[i].op);
+      EXPECT_EQ(batch->records[i].key, records[i].key);
+      EXPECT_EQ(batch->records[i].value, records[i].value);
+    }
   }
   // Truncated/corrupt word streams are rejected, never mis-decoded.
   EXPECT_FALSE(kv::decode_ship_words(std::span<const std::uint32_t>(
@@ -134,6 +136,34 @@ TEST(KvShipCodec, RecordsRoundTripThroughPaddedWords) {
                    .is_ok());
   words[1] = 100000;  // record count beyond the buffer
   EXPECT_FALSE(kv::decode_ship_words(words).is_ok());
+}
+
+// A ship message carries exactly its records' words: the call header,
+// the array's count word, then the shard/count header and the record.
+TEST(KvRepl, ShipsExactlyTheRecordWords) {
+  auto primary = kv::KvService::open(kv::KvService::Options{});
+  ASSERT_TRUE(primary.is_ok());
+  net::UdpSocket replica;  // bare socket: reads the datagram, never acks
+  ASSERT_TRUE(replica.ok());
+
+  kv::KvReplicator::Options ropts;
+  ropts.call.total_timeout_ms = 200;
+  kv::KvReplicator repl(**primary, replica.local_addr(), ropts);
+  kv::LogRecord r;
+  r.key = "exact-key";
+  r.value = std::string(37, 'v');
+  ASSERT_TRUE((*primary)->put(r.key, r.value).is_ok());
+  ASSERT_TRUE(repl.start().is_ok());
+
+  Bytes buf(net::kMaxDatagramBytes);
+  auto got = replica.recv_from(nullptr, MutableByteSpan(buf.data(), buf.size()),
+                               /*timeout_ms=*/5000);
+  repl.stop();
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  const std::size_t words = kv::kShipHeaderWords + kv::record_ship_words(r);
+  EXPECT_EQ(*got, 40 + 4 + 4 * words);
+  ASSERT_GE(*got, 44u);
+  EXPECT_EQ(load_be32(buf.data() + 40), words);
 }
 
 TEST(KvRepl, ConvergesOnCleanLink) {

@@ -588,8 +588,8 @@ TEST(StressSoak, KvClientMixBalancesCommitAndReplicaBooks) {
         return;
       }
       // Keys are partitioned per client ("cN-…") so deletes and puts
-      // from different threads never interleave on one key; the value
-      // mix spans the small and mid ship size classes.
+      // from different threads never interleave on one key; values run
+      // from a few bytes to 2 KB, so ship batches vary in length.
       while (std::chrono::steady_clock::now() < deadline) {
         const std::string key = "c" + std::to_string(c) + "-key-" +
                                 std::to_string(rng.below(64));
